@@ -8,18 +8,23 @@
 
 namespace daric::crypto {
 
-Scalar schnorr_challenge(const Point& r, const Point& pk, const Hash256& msg) {
-  const Bytes data = concat({r.compressed(), pk.compressed(), msg.view()});
-  return Scalar::from_be_bytes_reduce(Sha256::tagged("daric/schnorr", data).view());
-}
-
 namespace {
 
-Bytes sign_with_nonce(const Scalar& k, const Scalar& sk, const Point& pk, const Hash256& msg) {
-  const Point r = Point::mul_gen(k);
-  const Scalar e = schnorr_challenge(r, pk, msg);
+// Constant-tag hashers start from a prefix midstate computed once per
+// process: SHA256(tag)||SHA256(tag) is exactly one block, so each copy saves
+// the two compressions tagged_init would spend re-hashing the tag.
+Scalar challenge(BytesView r_bytes, BytesView pk_bytes, const Hash256& msg) {
+  static const Sha256 kPrefix = Sha256::tagged_init("daric/schnorr");
+  Sha256 h = kPrefix;
+  h.update(r_bytes).update(pk_bytes).update(msg.view());
+  return Scalar::from_be_bytes_reduce(h.finalize().view());
+}
+
+Bytes sign_with_nonce(const Scalar& k, const Scalar& sk, BytesView pk_bytes, const Hash256& msg) {
+  const Bytes r = Point::mul_gen(k).compressed();
+  const Scalar e = challenge(r, pk_bytes, msg);
   const Scalar s = k + e * sk;
-  return concat({r.compressed(), s.to_be_bytes()});
+  return concat({r, s.to_be_bytes()});
 }
 
 // Parses the (R, s) wire form; false on any malformed component.
@@ -35,10 +40,14 @@ bool parse_sig(BytesView sig, std::optional<Point>& r, Scalar& s) {
 
 }  // namespace
 
+Scalar schnorr_challenge(const Point& r, const Point& pk, const Hash256& msg) {
+  return challenge(r.compressed(), pk.compressed(), msg);
+}
+
 Bytes schnorr_sign(const Scalar& sk, const Hash256& msg) {
   static const Byte kDomain[] = {'s', 'c', 'h', 'n', 'o', 'r', 'r'};
   const Scalar k = rfc6979_nonce(sk, msg, {kDomain, sizeof(kDomain)});
-  return sign_with_nonce(k, sk, Point::mul_gen(sk), msg);
+  return sign_with_nonce(k, sk, Point::mul_gen(sk).compressed(), msg);
 }
 
 Bytes schnorr_sign(const KeyPair& kp, const Hash256& msg) {
@@ -46,18 +55,20 @@ Bytes schnorr_sign(const KeyPair& kp, const Hash256& msg) {
   // the public key and the message. Deterministic; distinct messages give
   // independent nonces. k = 0 has probability ~2^-256 but the scheme must
   // not emit R = infinity, so fall back to the RFC 6979 path if it happens.
-  const Bytes data = concat({kp.sk.to_be_bytes(), kp.pk.compressed(), msg.view()});
-  const Scalar k =
-      Scalar::from_be_bytes_reduce(Sha256::tagged("daric/schnorr-nonce", data).view());
+  static const Sha256 kPrefix = Sha256::tagged_init("daric/schnorr-nonce");
+  const Bytes pk_bytes = kp.pk.compressed();
+  Sha256 h = kPrefix;
+  h.update(kp.sk.to_be_bytes()).update(pk_bytes).update(msg.view());
+  const Scalar k = Scalar::from_be_bytes_reduce(h.finalize().view());
   if (k.is_zero()) return schnorr_sign(kp.sk, msg);
-  return sign_with_nonce(k, kp.sk, kp.pk, msg);
+  return sign_with_nonce(k, kp.sk, pk_bytes, msg);
 }
 
 bool schnorr_verify(const Point& pk, const Hash256& msg, BytesView sig) {
   std::optional<Point> r;
   Scalar s(0);
   if (pk.is_infinity() || !parse_sig(sig, r, s)) return false;
-  const Scalar e = schnorr_challenge(*r, pk, msg);
+  const Scalar e = challenge(sig.subspan(0, 33), pk.compressed(), msg);
   // s·G == R + e·P  ⟺  (−e)·P + s·G == R, one Strauss–Shamir ladder with
   // the comparison done in Jacobian coordinates (no field inversion).
   return Point::mul_add_equals_vartime(e.neg(), pk, s, *r);
@@ -67,7 +78,7 @@ bool schnorr_verify(const PrecomputedPoint& pk, const Hash256& msg, BytesView si
   std::optional<Point> r;
   Scalar s(0);
   if (!parse_sig(sig, r, s)) return false;
-  const Scalar e = schnorr_challenge(*r, pk.point(), msg);
+  const Scalar e = challenge(sig.subspan(0, 33), pk.point().compressed(), msg);
   return Point::mul_add_equals_vartime(e.neg(), pk, s, *r);
 }
 
@@ -81,7 +92,8 @@ Scalar batch_randomizer(const Hash256& seed, std::uint32_t index) {
   Bytes data(seed.view().begin(), seed.view().end());
   for (int shift = 24; shift >= 0; shift -= 8)
     data.push_back(static_cast<Byte>(index >> shift));
-  const Hash256 h = Sha256::tagged("daric/batch-randomizer", data);
+  static const Sha256 kPrefix = Sha256::tagged_init("daric/batch-randomizer");
+  const Hash256 h = Sha256(kPrefix).update(data).finalize();
   Bytes half(32, 0);
   std::copy(h.view().begin(), h.view().begin() + 16, half.begin() + 16);
   return Scalar::from_be_bytes_reduce(half);
@@ -98,10 +110,13 @@ bool schnorr_verify_batch(std::span<const SigBatchItem> items) {
   }
 
   Sha256 seed_hash;
+  std::vector<Bytes> pk_bytes;
+  pk_bytes.reserve(items.size());
   for (const SigBatchItem& it : items) {
     if (it.sig.size() != kSchnorrSigSize || it.pk.is_infinity()) return false;
+    pk_bytes.push_back(it.pk.compressed());
     seed_hash.update(it.sig);
-    seed_hash.update(it.pk.compressed());
+    seed_hash.update(pk_bytes.back());
     seed_hash.update(it.msg.view());
   }
   const Hash256 seed = seed_hash.finalize();
@@ -120,7 +135,7 @@ bool schnorr_verify_batch(std::span<const SigBatchItem> items) {
     const U256 sv = U256::from_be_bytes(BytesView(it.sig).subspan(33));
     if (sv >= Scalar::order()) return false;
     const Scalar s = Scalar::from_u256(sv);
-    const Scalar e = schnorr_challenge(*r, it.pk, it.msg);
+    const Scalar e = challenge(BytesView(it.sig).subspan(0, 33), pk_bytes[i], it.msg);
     const Scalar a = i == 0 ? Scalar(1) : batch_randomizer(seed, static_cast<std::uint32_t>(i));
     g_coeff = g_coeff + a * s;
     // Negate the points, not the coefficients: aᵢ stays 128 bits wide. A

@@ -114,7 +114,8 @@ tx::OutPoint Ledger::mint(Amount value, const tx::Condition& cond) {
   // Synthesize a unique txid from a counter (not a real transaction).
   Writer w;
   w.u64le(mint_counter_++);
-  const Hash256 id = crypto::Sha256::tagged("daric/mint", w.data());
+  static const crypto::Sha256 kPrefix = crypto::Sha256::tagged_init("daric/mint");
+  const Hash256 id = crypto::Sha256(kPrefix).update(w.data()).finalize();
   const tx::OutPoint op{id, 0};
   utxos_.add({op, {value, cond}, now_});
   seen_txids_.insert(id);

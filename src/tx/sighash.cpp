@@ -12,6 +12,12 @@ namespace {
 
 constexpr std::string_view kSighashTag = "daric/sighash";
 
+// Tagged-hash prefix midstate, computed once; every digest starts from a copy.
+crypto::Sha256 sighash_hasher() {
+  static const crypto::Sha256 kPrefix = crypto::Sha256::tagged_init(kSighashTag);
+  return kPrefix;
+}
+
 bool is_single(script::SighashFlag flag) {
   return flag == script::SighashFlag::kSingle ||
          flag == script::SighashFlag::kSingleAnyPrevOut;
@@ -58,7 +64,7 @@ Hash256 sighash_digest(const Transaction& tx, std::size_t input_index,
     w.varint(tx.outputs.size());
     for (const Output& out : tx.outputs) write_output(w, out);
   }
-  return crypto::Sha256::tagged(kSighashTag, w.data());
+  return sighash_hasher().update(w.data()).finalize();
 }
 
 Hash256 SighashCache::digest(std::size_t input_index, script::SighashFlag flag) const {
@@ -69,13 +75,13 @@ Hash256 SighashCache::digest(std::size_t input_index, script::SighashFlag flag) 
     w.reserve(128);
     write_prefix(w, tx_, flag);
     if (is_single(flag)) {
-      e.midstate = crypto::Sha256::tagged_init(kSighashTag);
+      e.midstate = sighash_hasher();
       e.midstate.update(w.data());
     } else {
       w.varint(tx_.outputs.size());
       for (const Output& out : tx_.outputs) write_output(w, out);
       e.whole = true;
-      e.full = crypto::Sha256::tagged(kSighashTag, w.data());
+      e.full = sighash_hasher().update(w.data()).finalize();
     }
     it = entries_.emplace(flag, std::move(e)).first;
   }
