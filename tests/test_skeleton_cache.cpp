@@ -132,6 +132,21 @@ TEST(SighashCacheInvalidate, FreshDigestAfterMutateAndInvalidate) {
   EXPECT_EQ(cache.digest(0, flag), tx::sighash_digest(t, 0, flag));
 }
 
+#ifndef NDEBUG
+// The staleness tripwire only exists with assertions on (tools/check.sh runs
+// this suite in a Debug build for that reason).
+TEST(SighashCacheInvalidate, DebugBuildThrowsOnStaleRead) {
+  const auto p = make_params();
+  const auto a = pubs("A"), b = pubs("B");
+  tx::Transaction t = gen_split({600'000, 400'000, {}}, 4, p, a, b);
+  tx::SighashCache cache(t);
+  const auto flag = script::SighashFlag::kAllAnyPrevOut;
+  cache.digest(0, flag);
+  t.nlocktime = 999;  // mutated without invalidate()
+  EXPECT_THROW(cache.digest(0, flag), std::logic_error);
+}
+#endif
+
 TEST(SighashCacheInvalidate, MutateInvalidateResign) {
   const auto p = make_params();
   const auto a = pubs("A"), b = pubs("B");

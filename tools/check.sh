@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Full verification harness: plain tier-1 suite, the same suite under
-# ASan+UBSan, a bounded model-check run, the secret-hygiene lint, and —
-# when the binary is installed — clang-tidy over the library sources.
+# ASan+UBSan, a Debug (assertions-on) build of the crypto and skeleton-cache
+# tests, a bounded model-check run, the secret-hygiene lint, and — when the
+# binary is installed — clang-tidy over the library sources.
 #
 # Usage: tools/check.sh [--fast|--bench|--chaos|--durable|--analyze|--tsan|--trace|--obs|--tidy]
-#   --fast    skip the sanitizer rebuild (plain tests + model check + lint)
+#   --fast    skip the Debug and sanitizer rebuilds (plain tests + model
+#             check + lint)
 #   --bench   build Release, run the crypto + update microbenches, write
 #             BENCH_crypto.json / BENCH_update_microbench.json at the repo
 #             root, and regenerate BENCH_trace_overhead.json (disabled-tracer
@@ -363,6 +365,14 @@ if [[ "$FAST" == 1 ]]; then
   echo; echo "check.sh --fast: OK (sanitizer pass skipped)"
   exit 0
 fi
+
+step "Debug build: field magnitude asserts + SighashCache staleness tripwire"
+# Every other gate builds with NDEBUG, which compiles out Fe's magnitude
+# budget checks and the stale-entry throw in SighashCache::digest.
+cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
+cmake --build build-debug -j --target test_crypto test_skeleton_cache >/dev/null
+./build-debug/tests/test_crypto
+./build-debug/tests/test_skeleton_cache
 
 step "ASan+UBSan build + tier-1 tests"
 cmake -B build-asan -S . -DDARIC_SANITIZE=address,undefined >/dev/null
