@@ -5,11 +5,13 @@
 
 #include "bench/bench_main.h"
 
+#include "src/cerberus/protocol.h"
 #include "src/crypto/ecdsa.h"
 #include "src/crypto/schnorr.h"
 #include "src/crypto/sha256.h"
 #include "src/daric/protocol.h"
 #include "src/eltoo/protocol.h"
+#include "src/fppw/protocol.h"
 #include "src/generalized/protocol.h"
 #include "src/lightning/protocol.h"
 
@@ -64,10 +66,10 @@ channel::ChannelParams bench_params(const std::string& id) {
 
 // One full channel update (all messages, signatures and verifications for
 // both parties). Throughput >> 1/s validates the unlimited-lifetime claim.
-template <typename Channel>
-void channel_update_bench(benchmark::State& state, const std::string& id) {
+template <typename Channel, typename... Extra>
+void channel_update_bench(benchmark::State& state, const std::string& id, Extra... extra) {
   sim::Environment env(2, crypto::schnorr_scheme());
-  Channel ch(env, bench_params(id));
+  Channel ch(env, bench_params(id), extra...);
   ch.create();
   Amount i = 0;
   for (auto _ : state) {
@@ -96,6 +98,16 @@ void BM_GeneralizedUpdate(benchmark::State& state) {
   channel_update_bench<generalized::GeneralizedChannel>(state, "bench-gc");
 }
 BENCHMARK(BM_GeneralizedUpdate)->Unit(benchmark::kMicrosecond);
+
+void BM_CerberusUpdate(benchmark::State& state) {
+  channel_update_bench<cerberus::CerberusChannel>(state, "bench-cb", Amount{5'000});
+}
+BENCHMARK(BM_CerberusUpdate)->Unit(benchmark::kMicrosecond);
+
+void BM_FppwUpdate(benchmark::State& state) {
+  channel_update_bench<fppw::FppwChannel>(state, "bench-fppw");
+}
+BENCHMARK(BM_FppwUpdate)->Unit(benchmark::kMicrosecond);
 
 // Daric update with m HTLC outputs: ops stay flat, serialization grows.
 void BM_DaricUpdateWithHtlcs(benchmark::State& state) {

@@ -35,12 +35,13 @@ script::Script cerberus_output_script(BytesView rev1, BytesView rev2, std::uint3
 // --- Watchtower ------------------------------------------------------------
 
 void CerberusWatchtower::monitor(ledger::Ledger& l) {
-  if (reacted_) return;
-  const auto spender = l.spender_of(fund_op_);
-  if (!spender) return;
-  const Hash256 id = spender->txid();
+  if (retired_) return;
+  const auto id = l.spender_txid(fund_op_);
+  if (!id) return;
+  // The funding output is spent either way: nothing is left to watch.
+  retired_ = true;
   for (const RevocationPackage& pkg : packages_) {
-    if (pkg.revoked_commit_txid == id) {
+    if (pkg.revoked_commit_txid == *id) {
       l.post(pkg.revocation);
       reacted_ = true;
       return;
@@ -69,18 +70,16 @@ CerberusChannel::CerberusChannel(sim::Environment& env, channel::ChannelParams p
   params_.validate(env_.delta());
   if (tower_reward_ <= 0 || tower_reward_ >= params_.capacity())
     throw std::invalid_argument("tower reward must be positive and below the capacity");
-  const daricch::DaricKeys ka = daricch::DaricKeys::derive("A", params_.id + "/cb");
-  const daricch::DaricKeys kb = daricch::DaricKeys::derive("B", params_.id + "/cb");
-  pub_a_ = to_pub(ka);
-  pub_b_ = to_pub(kb);
   main_a_ = crypto::derive_keypair(params_.id + "/cb/A/main");
   main_b_ = crypto::derive_keypair(params_.id + "/cb/B/main");
   delayed_a_ = crypto::derive_keypair(params_.id + "/cb/A/delayed");
   delayed_b_ = crypto::derive_keypair(params_.id + "/cb/B/delayed");
   tower_key_ = crypto::derive_keypair(params_.id + "/cb/tower");
-  env_.add_round_hook([this] { on_round(); });
-  env_.add_round_hook([this] { tower_a_.on_round(env_.ledger()); });
-  env_.add_round_hook([this] { tower_b_.on_round(env_.ledger()); });
+  payout_a_ = main_a_.pk.compressed();
+  payout_b_ = main_b_.pk.compressed();
+  hooks_.add([this] { on_round(); });
+  hooks_.add([this] { tower_a_.on_round(env_.ledger()); });
+  hooks_.add([this] { tower_b_.on_round(env_.ledger()); });
 }
 
 crypto::KeyPair CerberusChannel::rev_keypair(PartyId owner, std::uint32_t state,
@@ -89,28 +88,28 @@ crypto::KeyPair CerberusChannel::rev_keypair(PartyId owner, std::uint32_t state,
                                 std::to_string(state) + "/" + std::to_string(leg));
 }
 
-tx::Transaction CerberusChannel::build_commit(PartyId owner, std::uint32_t state,
-                                              const channel::StateVec& st, script::Script* s0,
-                                              script::Script* s1) const {
+CerberusChannel::CommitRecord CerberusChannel::build_commit(PartyId owner, std::uint32_t state,
+                                                            const channel::StateVec& st) const {
   const bool a = owner == PartyId::kA;
   const auto csv = static_cast<std::uint32_t>(params_.t_punish);
+  CommitRecord rec;
+  rec.owner = owner;
+  rec.state = state;
+  for (int leg = 0; leg < 4; ++leg) rec.rev[leg] = rev_keypair(owner, state, leg);
   // Both outputs carry a revocation path (H.6's two-P2WSH-output commit).
-  const script::Script local =
-      cerberus_output_script(rev_keypair(owner, state, 0).pk.compressed(),
-                             rev_keypair(owner, state, 1).pk.compressed(), csv,
-                             (a ? delayed_a_ : delayed_b_).pk.compressed());
-  const script::Script remote =
-      cerberus_output_script(rev_keypair(owner, state, 2).pk.compressed(),
-                             rev_keypair(owner, state, 3).pk.compressed(), csv,
-                             (a ? delayed_b_ : delayed_a_).pk.compressed());
-  tx::Transaction t;
+  rec.out0_script = cerberus_output_script(rec.rev[0].pk.compressed(),
+                                           rec.rev[1].pk.compressed(), csv,
+                                           (a ? delayed_a_ : delayed_b_).pk.compressed());
+  rec.out1_script = cerberus_output_script(rec.rev[2].pk.compressed(),
+                                           rec.rev[3].pk.compressed(), csv,
+                                           (a ? delayed_b_ : delayed_a_).pk.compressed());
+  tx::Transaction& t = rec.tx;
   t.inputs = {{fund_op_}};
   t.nlocktime = params_.s0 + state;
-  t.outputs = {{a ? st.to_a : st.to_b, tx::Condition::p2wsh(local)},
-               {a ? st.to_b : st.to_a, tx::Condition::p2wsh(remote)}};
-  if (s0) *s0 = local;
-  if (s1) *s1 = remote;
-  return t;
+  t.outputs = {{a ? st.to_a : st.to_b, tx::Condition::p2wsh(rec.out0_script)},
+               {a ? st.to_b : st.to_a, tx::Condition::p2wsh(rec.out1_script)}};
+  rec.txid = t.txid();  // segwit: the witness attached later does not change it
+  return rec;
 }
 
 tx::Transaction CerberusChannel::build_revocation(const CommitRecord& rec,
@@ -118,19 +117,20 @@ tx::Transaction CerberusChannel::build_revocation(const CommitRecord& rec,
   // Claims both commit outputs: (capacity − reward) to the victim, the
   // reward to the watchtower — the incentive that keeps the tower honest.
   tx::Transaction t;
-  const Hash256 id = rec.tx.txid();
-  t.inputs = {{{id, 0}}, {{id, 1}}};
+  t.inputs = {{{rec.txid, 0}}, {{rec.txid, 1}}};
   t.nlocktime = 0;
   t.outputs = {{params_.capacity() - tower_reward_,
-                tx::Condition::p2wpkh(victim == PartyId::kA ? pub_a_.main : pub_b_.main)},
+                tx::Condition::p2wpkh(victim == PartyId::kA ? payout_a_ : payout_b_)},
                {tower_reward_, tx::Condition::p2wpkh(tower_key_.pk.compressed())}};
   t.witnesses.resize(2);
+  // Witnesses are outside the sighash, so one cache serves all four signatures.
+  const tx::SighashCache sh(t);
   for (std::size_t i = 0; i < 2; ++i) {
-    const int leg = static_cast<int>(i) * 2;
-    const Bytes sig1 = tx::sign_input(t, i, rev_keypair(rec.owner, rec.state, leg).sk,
-                                      env_.scheme(), SighashFlag::kAll);
-    const Bytes sig2 = tx::sign_input(t, i, rev_keypair(rec.owner, rec.state, leg + 1).sk,
-                                      env_.scheme(), SighashFlag::kAll);
+    const std::size_t leg = i * 2;
+    const Bytes sig1 =
+        tx::sign_input(t, i, rec.rev[leg], env_.scheme(), SighashFlag::kAll, &sh);
+    const Bytes sig2 =
+        tx::sign_input(t, i, rec.rev[leg + 1], env_.scheme(), SighashFlag::kAll, &sh);
     t.witnesses[i].stack = {Bytes{}, sig1, sig2, Bytes{1}};  // revocation branch
     t.witnesses[i].witness_script = i == 0 ? rec.out0_script : rec.out1_script;
   }
@@ -139,17 +139,14 @@ tx::Transaction CerberusChannel::build_revocation(const CommitRecord& rec,
 
 void CerberusChannel::sign_state(std::uint32_t state, const channel::StateVec& st) {
   const auto& scheme = env_.scheme();
-  script::Script a0, a1, b0, b1;
-  commit_a_ = build_commit(PartyId::kA, state, st, &a0, &a1);
-  commit_b_ = build_commit(PartyId::kB, state, st, &b0, &b1);
-  const Bytes sa_on_a = tx::sign_input(commit_a_, 0, main_a_.sk, scheme, SighashFlag::kAll);
-  const Bytes sb_on_a = tx::sign_input(commit_a_, 0, main_b_.sk, scheme, SighashFlag::kAll);
-  const Bytes sa_on_b = tx::sign_input(commit_b_, 0, main_a_.sk, scheme, SighashFlag::kAll);
-  const Bytes sb_on_b = tx::sign_input(commit_b_, 0, main_b_.sk, scheme, SighashFlag::kAll);
-  daricch::attach_funding_witness(commit_a_, 0, fund_script_, sa_on_a, sb_on_a);
-  daricch::attach_funding_witness(commit_b_, 0, fund_script_, sa_on_b, sb_on_b);
-  archive_.push_back({commit_a_, a0, a1, PartyId::kA, state});
-  archive_.push_back({commit_b_, b0, b1, PartyId::kB, state});
+  for (const PartyId owner : {PartyId::kA, PartyId::kB}) {
+    CommitRecord rec = build_commit(owner, state, st);
+    const tx::SighashCache sh(rec.tx);
+    const Bytes sa = tx::sign_input(rec.tx, 0, main_a_, scheme, SighashFlag::kAll, &sh);
+    const Bytes sb = tx::sign_input(rec.tx, 0, main_b_, scheme, SighashFlag::kAll, &sh);
+    daricch::attach_funding_witness(rec.tx, 0, fund_script_, sa, sb);
+    archive_.push_back(std::move(rec));
+  }
 }
 
 bool CerberusChannel::create() {
@@ -178,12 +175,12 @@ bool CerberusChannel::update(const channel::StateVec& next) {
   // Revoke the *current* state: both parties co-sign the revocation txs
   // for both old commits and hand them to the victims' towers.
   const std::uint32_t old = sn_;
-  for (const CommitRecord& rec : archive_) {
-    if (rec.state != old) continue;
-    const PartyId victim = other(rec.owner);
-    const tx::Transaction rv = build_revocation(rec, victim);
+  for (const PartyId owner : {PartyId::kA, PartyId::kB}) {
+    const CommitRecord& rec = record(owner, old);
+    const PartyId victim = other(owner);
+    tx::Transaction rv = build_revocation(rec, victim);
     (victim == PartyId::kA ? revocations_held_by_a_ : revocations_held_by_b_).push_back(rv);
-    tower(victim).add_package({rec.tx.txid(), rv});
+    tower(victim).add_package({rec.txid, std::move(rv)});
   }
   sign_state(old + 1, next);
   ++sn_;
@@ -198,9 +195,10 @@ bool CerberusChannel::cooperative_close() {
   tx::Transaction close;
   close.inputs = {{fund_op_}};
   close.nlocktime = 0;
-  close.outputs = daricch::state_outputs(st_, pub_a_.main, pub_b_.main);
-  const Bytes sa = tx::sign_input(close, 0, main_a_.sk, scheme, SighashFlag::kAll);
-  const Bytes sb = tx::sign_input(close, 0, main_b_.sk, scheme, SighashFlag::kAll);
+  close.outputs = daricch::state_outputs(st_, payout_a_, payout_b_);
+  const tx::SighashCache sh_close(close);
+  const Bytes sa = tx::sign_input(close, 0, main_a_, scheme, SighashFlag::kAll, &sh_close);
+  const Bytes sb = tx::sign_input(close, 0, main_b_, scheme, SighashFlag::kAll, &sh_close);
   daricch::attach_funding_witness(close, 0, fund_script_, sa, sb);
   env_.message_round(PartyId::kA, "cb/close");
   obs_.weight->observe(static_cast<std::int64_t>(tx::measure(close).weight()));
@@ -211,22 +209,17 @@ bool CerberusChannel::cooperative_close() {
 
 void CerberusChannel::force_close(PartyId who) {
   if (!open_) return;
-  const tx::Transaction& cm = who == PartyId::kA ? commit_a_ : commit_b_;
+  const tx::Transaction& cm = latest_commit(who);
   obs_.force_close->inc();
   obs_.weight->observe(static_cast<std::int64_t>(tx::measure(cm).weight()));
   env_.ledger().post(cm);
 }
 
 void CerberusChannel::publish_old_commit(PartyId who, std::uint32_t state) {
-  for (const CommitRecord& r : archive_) {
-    if (r.owner == who && r.state == state) {
-      obs_.disputes->inc();
-      obs_.weight->observe(static_cast<std::int64_t>(tx::measure(r.tx).weight()));
-      env_.ledger().post(r.tx);
-      return;
-    }
-  }
-  throw std::out_of_range("no archived commit");
+  const tx::Transaction& cm = record(who, state).tx;  // throws std::out_of_range if absent
+  obs_.disputes->inc();
+  obs_.weight->observe(static_cast<std::int64_t>(tx::measure(cm).weight()));
+  env_.ledger().post(cm);
 }
 
 void CerberusChannel::note_closed(CbOutcome outcome) {
@@ -249,9 +242,9 @@ void CerberusChannel::on_round() {
       sweep.inputs = {{pending_sweep_->op}};
       sweep.nlocktime = 0;
       const bool a = pending_sweep_->owner == PartyId::kA;
-      sweep.outputs = {{pending_sweep_->cash, tx::Condition::p2wpkh(a ? pub_a_.main : pub_b_.main)}};
-      const Bytes sig = tx::sign_input(sweep, 0, (a ? delayed_a_ : delayed_b_).sk,
-                                       env_.scheme(), SighashFlag::kAll);
+      sweep.outputs = {{pending_sweep_->cash, tx::Condition::p2wpkh(a ? payout_a_ : payout_b_)}};
+      const Bytes sig = tx::sign_input(sweep, 0, a ? delayed_a_ : delayed_b_, env_.scheme(),
+                                       SighashFlag::kAll);
       sweep.witnesses.resize(1);
       sweep.witnesses[0].stack = {sig, Bytes{}};
       sweep.witnesses[0].witness_script = pending_sweep_->script;
@@ -264,16 +257,16 @@ void CerberusChannel::on_round() {
     return;
   }
 
-  const auto spender = ledger.spender_of(fund_op_);
-  if (!spender) return;
-  const Hash256 id = spender->txid();
+  const auto spent_by = ledger.spender_txid(fund_op_);
+  if (!spent_by) return;
+  const Hash256 id = *spent_by;
   if (expected_close_txid_ && id == *expected_close_txid_) {
     note_closed(CbOutcome::kCooperative);
     return;
   }
   const CommitRecord* rec = nullptr;
   for (const CommitRecord& r : archive_) {
-    if (r.tx.txid() == id) {
+    if (r.txid == id) {
       rec = &r;
       break;
     }
@@ -282,9 +275,9 @@ void CerberusChannel::on_round() {
 
   if (rec->state < sn_) {
     // Revoked: the tower posts the pre-signed revocation; we just track it.
-    const auto taker = ledger.spender_of({id, 0});
+    const auto taker = ledger.spender_txid({id, 0});
     if (taker) {
-      pending_txid_ = taker->txid();
+      pending_txid_ = *taker;
       obs_.punish_posted->inc();
       if (ledger.is_confirmed(*pending_txid_)) note_closed(CbOutcome::kPunished);
     }
@@ -313,7 +306,7 @@ std::size_t CerberusChannel::party_storage_bytes(PartyId who) const {
   if (!open_) return 0;
   channel::StorageMeter m;
   m.add_raw(36);
-  m.add_tx(who == PartyId::kA ? commit_a_ : commit_b_);
+  m.add_tx(latest_commit(who));
   const auto& revs = who == PartyId::kA ? revocations_held_by_a_ : revocations_held_by_b_;
   for (const tx::Transaction& t : revs) m.add_tx(t);
   m.add_raw(3 * (32 + 33) + 3 * 33);

@@ -6,12 +6,13 @@
 // 2-output layout reproduces Appendix H.6's 772-WU non-collaborative close.
 #pragma once
 
+#include <array>
 #include <optional>
 
 #include "src/channel/params.h"
 #include "src/channel/state.h"
 #include "src/channel/watchtower.h"
-#include "src/daric/wallet.h"
+#include "src/crypto/keys.h"
 #include "src/obs/handles.h"
 #include "src/sim/environment.h"
 #include "src/sim/party.h"
@@ -42,6 +43,9 @@ class CerberusWatchtower : public channel::Watchtower {
 
   std::size_t storage_bytes() const override;
   bool reacted() const override { return reacted_; }
+  /// Whether the funding output was spent: the tower has reacted, or the
+  /// spender is a transaction it holds no package for, and it stops watching.
+  bool retired() const { return retired_; }
 
  protected:
   void monitor(ledger::Ledger& l) override;
@@ -50,6 +54,7 @@ class CerberusWatchtower : public channel::Watchtower {
   tx::OutPoint fund_op_;
   std::vector<RevocationPackage> packages_;
   bool reacted_ = false;
+  bool retired_ = false;
 };
 
 class CerberusChannel {
@@ -72,7 +77,7 @@ class CerberusChannel {
     return who == sim::PartyId::kA ? tower_a_ : tower_b_;
   }
   const tx::Transaction& latest_commit(sim::PartyId who) const {
-    return who == sim::PartyId::kA ? commit_a_ : commit_b_;
+    return record(who, sn_).tx;
   }
   tx::OutPoint funding_outpoint() const { return fund_op_; }
   Bytes tower_reward_pk() const { return tower_key_.pk.compressed(); }
@@ -81,17 +86,26 @@ class CerberusChannel {
 
  private:
   struct CommitRecord {
-    tx::Transaction tx;
+    tx::Transaction tx;  // fully signed
+    Hash256 txid;
     script::Script out0_script, out1_script;
+    /// Revocation keys, derived once when the state is signed: legs 0/1
+    /// lock out0's 2-of-2, legs 2/3 lock out1's.
+    std::array<crypto::KeyPair, 4> rev;
     sim::PartyId owner;
     std::uint32_t state = 0;
   };
 
   crypto::KeyPair rev_keypair(sim::PartyId owner, std::uint32_t state, int leg) const;
-  tx::Transaction build_commit(sim::PartyId owner, std::uint32_t state,
-                               const channel::StateVec& st, script::Script* s0,
-                               script::Script* s1) const;
+  /// `owner`'s commit for `state`, unsigned.
+  CommitRecord build_commit(sim::PartyId owner, std::uint32_t state,
+                            const channel::StateVec& st) const;
   tx::Transaction build_revocation(const CommitRecord& rec, sim::PartyId victim) const;
+  /// `owner`'s archived commit for `state`. sign_state runs once per state,
+  /// in order, and archives A's record then B's.
+  const CommitRecord& record(sim::PartyId owner, std::uint32_t state) const {
+    return archive_.at(2 * std::size_t{state} + (owner == sim::PartyId::kB ? 1 : 0));
+  }
   void sign_state(std::uint32_t state, const channel::StateVec& st);
   void on_round();
   /// Records the outcome and bumps the closed counter.
@@ -101,8 +115,9 @@ class CerberusChannel {
   channel::ChannelParams params_;
   obs::EngineHandles obs_;  // bound once in the constructor
   Amount tower_reward_;
-  daricch::DaricPubKeys pub_a_, pub_b_;
   crypto::KeyPair main_a_, main_b_, delayed_a_, delayed_b_, tower_key_;
+  // Payout keys: the `<id>/cb/X/main` wallet keys, i.e. main_*.pk.
+  Bytes payout_a_, payout_b_;
 
   bool open_ = false;
   std::uint32_t sn_ = 0;
@@ -110,7 +125,6 @@ class CerberusChannel {
   tx::OutPoint fund_op_;
   script::Script fund_script_;
 
-  tx::Transaction commit_a_, commit_b_;
   std::vector<CommitRecord> archive_;
   // Each party's stash of fully-signed revocation txs (the O(n) term).
   std::vector<tx::Transaction> revocations_held_by_a_, revocations_held_by_b_;
@@ -131,6 +145,7 @@ class CerberusChannel {
     Hash256 txid;
   };
   std::optional<PendingSweep> pending_sweep_;
+  sim::RoundHooks hooks_{env_};
 };
 
 }  // namespace daric::cerberus

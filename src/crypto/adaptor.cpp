@@ -7,12 +7,15 @@
 namespace daric::crypto {
 
 AdaptorPreSig adaptor_pre_sign(const Scalar& sk, const Hash256& msg, const Point& statement) {
+  return adaptor_pre_sign(KeyPair{sk, Point::mul_gen(sk)}, msg, statement);
+}
+
+AdaptorPreSig adaptor_pre_sign(const KeyPair& kp, const Hash256& msg, const Point& statement) {
   static const Byte kDomain[] = {'a', 'd', 'a', 'p', 't', 'o', 'r'};
-  const Scalar k = rfc6979_nonce(sk, msg, {kDomain, sizeof(kDomain)});
+  const Scalar k = rfc6979_nonce(kp.sk, msg, {kDomain, sizeof(kDomain)});
   const Point r_hat = Point::mul_gen(k) + statement;
-  const Point pk = Point::mul_gen(sk);
-  const Scalar e = schnorr_challenge(r_hat, pk, msg);
-  return {r_hat, k + e * sk};
+  const Scalar e = schnorr_challenge(r_hat, kp.pk, msg);
+  return {r_hat, k + e * kp.sk};
 }
 
 bool adaptor_pre_verify(const Point& pk, const Hash256& msg, const Point& statement,

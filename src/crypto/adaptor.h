@@ -16,6 +16,9 @@ struct AdaptorPreSig {
 };
 
 AdaptorPreSig adaptor_pre_sign(const Scalar& sk, const Hash256& msg, const Point& statement);
+/// Keypair variant: reuses the cached public key instead of recomputing
+/// P = sk·G. Same RFC 6979 nonce, so the bytes equal the scalar variant's.
+AdaptorPreSig adaptor_pre_sign(const KeyPair& kp, const Hash256& msg, const Point& statement);
 bool adaptor_pre_verify(const Point& pk, const Hash256& msg, const Point& statement,
                         const AdaptorPreSig& pre);
 /// Completes the pre-signature into a valid Schnorr signature (raw encoding).

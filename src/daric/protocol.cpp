@@ -369,8 +369,8 @@ DaricChannel::DaricChannel(sim::Environment& env, channel::ChannelParams params)
   disputes_counter_ = &m.counter("daric.disputes");
   weight_hist_ = &m.histogram("daric.onchain_weight");
   params_.validate(env_.delta());
-  env_.add_round_hook([this] { a_.on_round(); });
-  env_.add_round_hook([this] { b_.on_round(); });
+  hooks_.add([this] { a_.on_round(); });
+  hooks_.add([this] { b_.on_round(); });
 }
 
 bool DaricChannel::create() {

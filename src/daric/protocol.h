@@ -284,6 +284,7 @@ class DaricChannel {
     script::Script commit_script_a, commit_script_b;
   };
   std::vector<ArchivedSplit> archive_splits_;
+  sim::RoundHooks hooks_{env_};
 };
 
 /// Builds the transaction that redeems one HTLC output of a confirmed split

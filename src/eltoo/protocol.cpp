@@ -54,13 +54,11 @@ EltooChannel::EltooChannel(sim::Environment& env, channel::ChannelParams params)
     : env_(env), params_(std::move(params)),
       obs_(obs::EngineHandles::bind(env.metrics(), "eltoo", "override.posted")) {
   params_.validate(env_.delta());
-  const daricch::DaricKeys ka = daricch::DaricKeys::derive("A", params_.id + "/eltoo");
-  const daricch::DaricKeys kb = daricch::DaricKeys::derive("B", params_.id + "/eltoo");
-  pub_a_ = to_pub(ka);
-  pub_b_ = to_pub(kb);
+  payout_a_ = crypto::derive_keypair(params_.id + "/eltoo/A/main").pk.compressed();
+  payout_b_ = crypto::derive_keypair(params_.id + "/eltoo/B/main").pk.compressed();
   upd_a_ = crypto::derive_keypair(params_.id + "/eltoo/A/upd");
   upd_b_ = crypto::derive_keypair(params_.id + "/eltoo/B/upd");
-  env_.add_round_hook([this] { on_round(); });
+  hooks_.add([this] { on_round(); });
 }
 
 EltooChannel::PerStateKeys EltooChannel::settlement_keys(std::uint32_t state) const {
@@ -68,40 +66,34 @@ EltooChannel::PerStateKeys EltooChannel::settlement_keys(std::uint32_t state) co
   return {crypto::derive_keypair(base + "/A"), crypto::derive_keypair(base + "/B")};
 }
 
-script::Script EltooChannel::update_output_script(std::uint32_t state) const {
-  const PerStateKeys ks = settlement_keys(state);
+script::Script EltooChannel::update_output_script(const PerStateKeys& ks,
+                                                  std::uint32_t state) const {
   return update_script(ks.set_a.pk.compressed(), ks.set_b.pk.compressed(),
                        upd_a_.pk.compressed(), upd_b_.pk.compressed(),
                        params_.s0 + state + 1, static_cast<std::uint32_t>(params_.t_punish));
 }
 
-tx::Transaction EltooChannel::build_update_body(std::uint32_t state) const {
-  tx::Transaction t;
-  t.nlocktime = params_.s0 + state;
-  t.outputs = {{params_.capacity(), tx::Condition::p2wsh(update_output_script(state))}};
-  return t;  // floating
-}
-
-tx::Transaction EltooChannel::build_settlement_body(const channel::StateVec& st,
-                                                    std::uint32_t state) const {
-  (void)state;
+tx::Transaction EltooChannel::build_settlement_body(const channel::StateVec& st) const {
   tx::Transaction t;
   t.nlocktime = 0;
-  t.outputs = daricch::state_outputs(st, pub_a_.main, pub_b_.main);
-  return t;  // floating, bound to update `state`'s output
+  t.outputs = daricch::state_outputs(st, payout_a_, payout_b_);
+  return t;  // floating, bound to the update output of its state
 }
 
 void EltooChannel::sign_state(std::uint32_t state, const channel::StateVec& st) {
   const auto& scheme = env_.scheme();
-  upd_body_ = build_update_body(state);
+  const PerStateKeys ks = settlement_keys(state);
+  script::Script out_script = update_output_script(ks, state);
+  upd_body_ = tx::Transaction{};
+  upd_body_.nlocktime = params_.s0 + state;
+  upd_body_.outputs = {{params_.capacity(), tx::Condition::p2wsh(out_script)}};  // floating
   const tx::SighashCache sh_upd(upd_body_);
   upd_sig_a_ =
       tx::sign_input(upd_body_, 0, upd_a_, scheme, SighashFlag::kAllAnyPrevOut, &sh_upd);
   upd_sig_b_ =
       tx::sign_input(upd_body_, 0, upd_b_, scheme, SighashFlag::kAllAnyPrevOut, &sh_upd);
-  set_body_ = build_settlement_body(st, state);
+  set_body_ = build_settlement_body(st);
   const tx::SighashCache sh_set(set_body_);
-  const PerStateKeys ks = settlement_keys(state);
   set_sig_a_ =
       tx::sign_input(set_body_, 0, ks.set_a, scheme, SighashFlag::kAllAnyPrevOut, &sh_set);
   set_sig_b_ =
@@ -125,7 +117,7 @@ void EltooChannel::sign_state(std::uint32_t state, const channel::StateVec& st) 
   if (!scheme.verify_batch(batch_a) || !scheme.verify_batch(batch_b))
     throw std::logic_error("counterparty signature invalid");
   archive_.push_back({upd_body_, set_body_, upd_sig_a_, upd_sig_b_, set_sig_a_, set_sig_b_,
-                      update_output_script(state), st});
+                      std::move(out_script), st});
 }
 
 bool EltooChannel::create() {
@@ -178,7 +170,7 @@ bool EltooChannel::cooperative_close() {
   tx::Transaction close;
   close.inputs = {{fund_op_}};
   close.nlocktime = 0;
-  close.outputs = daricch::state_outputs(st_, pub_a_.main, pub_b_.main);
+  close.outputs = daricch::state_outputs(st_, payout_a_, payout_b_);
   const tx::SighashCache sh_close(close);
   const Bytes sa = tx::sign_input(close, 0, upd_a_, scheme, SighashFlag::kAll, &sh_close);
   const Bytes sb = tx::sign_input(close, 0, upd_b_, scheme, SighashFlag::kAll, &sh_close);
@@ -263,20 +255,26 @@ void EltooChannel::on_round() {
   if (!monitor_online_) return;
   auto& ledger = env_.ledger();
 
-  auto spender = ledger.spender_of(fund_op_);
-  if (!spender) return;
-  if (expected_close_txid_ && spender->txid() == *expected_close_txid_) {
-    settled_state_ = sn_;
-    open_ = false;
-    emit_closed(env_, obs_.closed, params_, *settled_state_, "cooperative");
-    return;
+  if (!tip_txid_) {
+    const auto first = ledger.spender_txid(fund_op_);
+    if (!first) return;
+    if (expected_close_txid_ && *first == *expected_close_txid_) {
+      settled_state_ = sn_;
+      open_ = false;
+      emit_closed(env_, obs_.closed, params_, *settled_state_, "cooperative");
+      return;
+    }
   }
 
-  // Walk the update chain to the deepest confirmed update transaction.
-  std::uint32_t cur_state = 0;
-  tx::Transaction holder;
-  for (;;) {
-    if (spender->outputs.size() != 1) {
+  // Walk the update chain down from the deepest update seen so far. Each
+  // step is a txid lookup; a transaction is copied out of the ledger only
+  // when the chain has grown.
+  tx::OutPoint at = tip_txid_ ? tx::OutPoint{*tip_txid_, 0} : fund_op_;
+  std::optional<Hash256> holder = tip_txid_;
+  std::uint32_t cur_state = tip_txid_ ? tip_state_ : 0;
+  while (const auto next = ledger.spender_txid(at)) {
+    const tx::Transaction spender = *ledger.spender_of(at);
+    if (spender.outputs.size() != 1) {
       // A settlement (two or more outputs) finalized the channel.
       settled_state_ = cur_state;
       open_ = false;
@@ -284,21 +282,19 @@ void EltooChannel::on_round() {
                   cur_state < sn_ ? "stale-settled" : "settled");
       return;
     }
-    holder = *spender;
-    cur_state = holder.nlocktime - params_.s0;
-    auto next = ledger.spender_of({holder.txid(), 0});
-    if (!next) break;
-    spender = next;
+    holder = *next;
+    cur_state = spender.nlocktime - params_.s0;
+    at = {*next, 0};
   }
 
-  const auto conf = ledger.confirmation_round(holder.txid());
-  if (!tip_txid_ || *tip_txid_ != holder.txid()) {
-    tip_txid_ = holder.txid();
+  if (!tip_txid_ || *tip_txid_ != *holder) {
+    tip_txid_ = holder;
     tip_state_ = cur_state;
-    tip_confirm_round_ = conf;
+    tip_confirm_round_ = ledger.confirmation_round(*holder);
     settlement_posted_ = false;
     reacted_for_tip_ = false;
   }
+  const auto& conf = tip_confirm_round_;
 
   if (cur_state < sn_) {
     // Stale state on-chain: a reacting honest party overrides it with the
@@ -312,7 +308,7 @@ void EltooChannel::on_round() {
                            {obs::Attr::s("kind", "override"),
                             obs::Attr::i("stale_state", static_cast<std::int64_t>(cur_state)),
                             obs::Attr::i("latest_sn", static_cast<std::int64_t>(sn_))});
-      post_update_bound(sn_, {holder.txid(), 0}, archive_.at(cur_state).out_script, false);
+      post_update_bound(sn_, {*holder, 0}, archive_.at(cur_state).out_script, false);
       reacted_for_tip_ = true;
     }
     return;
@@ -322,7 +318,7 @@ void EltooChannel::on_round() {
   if (!settlement_posted_ && conf && env_.now() >= *conf + params_.t_punish) {
     const ArchivedState& s = archive_.at(sn_);
     tx::Transaction t = s.set_body;
-    daricch::bind_floating(t, {holder.txid(), 0});
+    daricch::bind_floating(t, {*holder, 0});
     t.witnesses.resize(1);
     t.witnesses[0].stack = {Bytes{}, s.set_sig_a, s.set_sig_b, Bytes{1}};
     t.witnesses[0].witness_script = s.out_script;

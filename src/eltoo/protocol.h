@@ -7,7 +7,6 @@
 
 #include "src/channel/params.h"
 #include "src/channel/state.h"
-#include "src/daric/wallet.h"
 #include "src/eltoo/scripts.h"
 #include "src/obs/handles.h"
 #include "src/sim/environment.h"
@@ -58,9 +57,8 @@ class EltooChannel {
     crypto::KeyPair set_a, set_b;
   };
   PerStateKeys settlement_keys(std::uint32_t state) const;
-  script::Script update_output_script(std::uint32_t state) const;
-  tx::Transaction build_update_body(std::uint32_t state) const;
-  tx::Transaction build_settlement_body(const channel::StateVec& st, std::uint32_t state) const;
+  script::Script update_output_script(const PerStateKeys& ks, std::uint32_t state) const;
+  tx::Transaction build_settlement_body(const channel::StateVec& st) const;
   void sign_state(std::uint32_t state, const channel::StateVec& st);
   int send_reliable(sim::PartyId from, const char* type);
   void on_round();
@@ -70,7 +68,8 @@ class EltooChannel {
   sim::Environment& env_;
   channel::ChannelParams params_;
   obs::EngineHandles obs_;  // bound once in the constructor
-  daricch::DaricPubKeys pub_a_, pub_b_;  // only .main used for balances
+  // Payout keys: the `<id>/eltoo/X/main` wallet keys.
+  Bytes payout_a_, payout_b_;
   crypto::KeyPair upd_a_, upd_b_;
 
   bool open_ = false;
@@ -106,6 +105,7 @@ class EltooChannel {
   std::optional<std::uint32_t> pending_settle_state_;
   std::optional<std::uint32_t> settled_state_;
   std::optional<Hash256> expected_close_txid_;
+  sim::RoundHooks hooks_{env_};
 };
 
 }  // namespace daric::eltoo

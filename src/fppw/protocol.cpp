@@ -23,10 +23,6 @@ FppwChannel::FppwChannel(sim::Environment& env, channel::ChannelParams params)
   params_.validate(env_.delta());
   if (!env_.scheme().supports_adaptor())
     throw std::invalid_argument("FPPW needs adaptor signatures (publisher identification)");
-  const daricch::DaricKeys ka = daricch::DaricKeys::derive("A", params_.id + "/fppw");
-  const daricch::DaricKeys kb = daricch::DaricKeys::derive("B", params_.id + "/fppw");
-  pub_a_ = to_pub(ka);
-  pub_b_ = to_pub(kb);
   const std::string base = params_.id + "/fppw/";
   main_a_ = crypto::derive_keypair(base + "A/main");
   main_b_ = crypto::derive_keypair(base + "B/main");
@@ -36,7 +32,12 @@ FppwChannel::FppwChannel(sim::Environment& env, channel::ChannelParams params)
   pen_a_ = crypto::derive_keypair(base + "A/pen");
   pen_b_ = crypto::derive_keypair(base + "B/pen");
   tower_payout_ = crypto::derive_keypair(base + "W/payout");
-  env_.add_round_hook([this] { on_round(); });
+  payout_a_ = main_a_.pk.compressed();
+  payout_b_ = main_b_.pk.compressed();
+  out0_ = fppw_out0_script(rev_a_.pk.compressed(), rev_b_.pk.compressed(),
+                           rev_w_.pk.compressed(), static_cast<std::uint32_t>(params_.t_punish),
+                           main_a_.pk.compressed(), main_b_.pk.compressed());
+  hooks_.add([this] { on_round(); });
 }
 
 FppwChannel::StateSecrets FppwChannel::state_secrets(std::uint32_t state) const {
@@ -44,16 +45,7 @@ FppwChannel::StateSecrets FppwChannel::state_secrets(std::uint32_t state) const 
   return {crypto::derive_keypair(base + "/yA"), crypto::derive_keypair(base + "/yB")};
 }
 
-script::Script FppwChannel::out0_script(std::uint32_t state) const {
-  (void)state;  // revocation keys are per-channel; state identified via nLT
-  return fppw_out0_script(rev_a_.pk.compressed(), rev_b_.pk.compressed(),
-                          rev_w_.pk.compressed(),
-                          static_cast<std::uint32_t>(params_.t_punish),
-                          main_a_.pk.compressed(), main_b_.pk.compressed());
-}
-
-script::Script FppwChannel::out1_script(std::uint32_t state) const {
-  const StateSecrets sec = state_secrets(state);
+script::Script FppwChannel::out1_script(const StateSecrets& sec) const {
   return fppw_out1_script(rev_a_.pk.compressed(), rev_b_.pk.compressed(),
                           rev_w_.pk.compressed(),
                           static_cast<std::uint32_t>(params_.t_punish),
@@ -61,55 +53,61 @@ script::Script FppwChannel::out1_script(std::uint32_t state) const {
                           sec.y_a.pk.compressed(), sec.y_b.pk.compressed());
 }
 
-tx::Transaction FppwChannel::build_commit_body(std::uint32_t state) const {
-  tx::Transaction t;
-  t.inputs = {{fund_op_}};
-  t.nlocktime = params_.s0 + state;
-  t.outputs = {{params_.capacity(), tx::Condition::p2wsh(out0_script(state))},
-               {collateral(), tx::Condition::p2wsh(out1_script(state))}};
-  return t;
-}
-
 tx::Transaction FppwChannel::build_revocation(std::uint32_t state, PartyId victim) const {
   const ArchivedState& s = archive_.at(state);
-  const Hash256 id = s.commit_body.txid();
   tx::Transaction t;
-  t.inputs = {{{id, 0}}, {{id, 1}}};
+  t.inputs = {{{s.commit_txid, 0}}, {{s.commit_txid, 1}}};
   t.nlocktime = 0;
   t.outputs = {{params_.capacity(),
-                tx::Condition::p2wpkh(victim == PartyId::kA ? pub_a_.main : pub_b_.main)},
+                tx::Condition::p2wpkh(victim == PartyId::kA ? payout_a_ : payout_b_)},
                {collateral(), tx::Condition::p2wpkh(tower_payout_.pk.compressed())}};
   t.witnesses.resize(2);
+  // Witnesses are outside the sighash, so one cache serves all six signatures.
+  const auto& scheme = env_.scheme();
+  const tx::SighashCache sh(t);
   for (std::size_t i = 0; i < 2; ++i) {
-    const Bytes sa = tx::sign_input(t, i, rev_a_.sk, env_.scheme(), SighashFlag::kAll);
-    const Bytes sb = tx::sign_input(t, i, rev_b_.sk, env_.scheme(), SighashFlag::kAll);
-    const Bytes sw = tx::sign_input(t, i, rev_w_.sk, env_.scheme(), SighashFlag::kAll);
+    const Bytes sa = tx::sign_input(t, i, rev_a_, scheme, SighashFlag::kAll, &sh);
+    const Bytes sb = tx::sign_input(t, i, rev_b_, scheme, SighashFlag::kAll, &sh);
+    const Bytes sw = tx::sign_input(t, i, rev_w_, scheme, SighashFlag::kAll, &sh);
     t.witnesses[i].stack = {Bytes{}, sa, sb, sw, Bytes{1}};
-    t.witnesses[i].witness_script = i == 0 ? s.out0 : s.out1;
+    t.witnesses[i].witness_script = i == 0 ? out0_ : s.out1;
   }
   return t;
 }
 
 void FppwChannel::sign_state(std::uint32_t state, const channel::StateVec& st) {
   const auto& scheme = env_.scheme();
-  const StateSecrets sec = state_secrets(state);
-  commit_body_ = build_commit_body(state);
-  out0_ = out0_script(state);
-  out1_ = out1_script(state);
+  StateSecrets sec = state_secrets(state);
+  script::Script out1 = out1_script(sec);
+  commit_body_ = tx::Transaction{};
+  commit_body_.inputs = {{fund_op_}};
+  commit_body_.nlocktime = params_.s0 + state;
+  commit_body_.outputs = {{params_.capacity(), tx::Condition::p2wsh(out0_)},
+                          {collateral(), tx::Condition::p2wsh(out1)}};
+  const Hash256 commit_txid = commit_body_.txid();
   const Hash256 digest = tx::sighash_digest(commit_body_, 0, SighashFlag::kAll);
   crypto::op_counters().exps.fetch_add(2, std::memory_order_relaxed);
   crypto::op_counters().signs.fetch_add(2, std::memory_order_relaxed);
-  pre_a_ = crypto::adaptor_pre_sign(main_a_.sk, digest, sec.y_b.pk);
-  pre_b_ = crypto::adaptor_pre_sign(main_b_.sk, digest, sec.y_a.pk);
+  pre_a_ = crypto::adaptor_pre_sign(main_a_, digest, sec.y_b.pk);
+  pre_b_ = crypto::adaptor_pre_sign(main_b_, digest, sec.y_a.pk);
 
   split_body_ = tx::Transaction{};
-  split_body_.inputs = {{{commit_body_.txid(), 0}}};
+  split_body_.inputs = {{{commit_txid, 0}}};
   split_body_.nlocktime = 0;
-  split_body_.outputs = daricch::state_outputs(st, pub_a_.main, pub_b_.main);
-  split_sig_a_ = tx::sign_input(split_body_, 0, main_a_.sk, scheme, SighashFlag::kAll);
-  split_sig_b_ = tx::sign_input(split_body_, 0, main_b_.sk, scheme, SighashFlag::kAll);
+  split_body_.outputs = daricch::state_outputs(st, payout_a_, payout_b_);
+  const tx::SighashCache sh_split(split_body_);
+  split_sig_a_ = tx::sign_input(split_body_, 0, main_a_, scheme, SighashFlag::kAll, &sh_split);
+  split_sig_b_ = tx::sign_input(split_body_, 0, main_b_, scheme, SighashFlag::kAll, &sh_split);
 
-  archive_.push_back({commit_body_, out0_, out1_, pre_a_, pre_b_});
+  archive_.push_back(
+      {commit_body_, commit_txid, std::move(out1), pre_a_, pre_b_, std::move(sec)});
+}
+
+std::optional<std::uint32_t> FppwChannel::state_of(const Hash256& commit_txid) const {
+  for (std::uint32_t i = 0; i < archive_.size(); ++i) {
+    if (archive_[i].commit_txid == commit_txid) return i;
+  }
+  return std::nullopt;
 }
 
 bool FppwChannel::create() {
@@ -139,10 +137,8 @@ bool FppwChannel::update(const channel::StateVec& next) {
   env_.message_round(PartyId::kA, "fppw/revoke");
   // Revoke the current state: both revocation variants go to the tower.
   const std::uint32_t old = sn_;
-  tower_revocations_.push_back(
-      {archive_.at(old).commit_body.txid(), build_revocation(old, PartyId::kA)});
-  tower_revocations_.push_back(
-      {archive_.at(old).commit_body.txid(), build_revocation(old, PartyId::kB)});
+  tower_revocations_.push_back({archive_.at(old).commit_txid, build_revocation(old, PartyId::kA)});
+  tower_revocations_.push_back({archive_.at(old).commit_txid, build_revocation(old, PartyId::kB)});
   sign_state(old + 1, next);
   ++sn_;
   st_ = next;
@@ -152,18 +148,17 @@ bool FppwChannel::update(const channel::StateVec& next) {
 
 tx::Transaction FppwChannel::assemble_commit(PartyId publisher, std::uint32_t state) const {
   const ArchivedState& s = archive_.at(state);
-  const StateSecrets sec = state_secrets(state);
   tx::Transaction t = s.commit_body;
   const Hash256 digest = tx::sighash_digest(t, 0, SighashFlag::kAll);
   Bytes sig_a, sig_b;
   if (publisher == PartyId::kA) {
-    sig_a = script::encode_wire_sig(env_.scheme().sign(main_a_.sk, digest), SighashFlag::kAll);
-    sig_b = script::encode_wire_sig(crypto::adaptor_adapt(s.pre_b, sec.y_a.sk),
+    sig_a = script::encode_wire_sig(env_.scheme().sign_with(main_a_, digest), SighashFlag::kAll);
+    sig_b = script::encode_wire_sig(crypto::adaptor_adapt(s.pre_b, s.sec.y_a.sk),
                                     SighashFlag::kAll);
   } else {
-    sig_a = script::encode_wire_sig(crypto::adaptor_adapt(s.pre_a, sec.y_b.sk),
+    sig_a = script::encode_wire_sig(crypto::adaptor_adapt(s.pre_a, s.sec.y_b.sk),
                                     SighashFlag::kAll);
-    sig_b = script::encode_wire_sig(env_.scheme().sign(main_b_.sk, digest), SighashFlag::kAll);
+    sig_b = script::encode_wire_sig(env_.scheme().sign_with(main_b_, digest), SighashFlag::kAll);
   }
   daricch::attach_funding_witness(t, 0, fund_script_, sig_a, sig_b);
   return t;
@@ -175,10 +170,11 @@ bool FppwChannel::cooperative_close() {
   tx::Transaction close;
   close.inputs = {{fund_op_}};
   close.nlocktime = 0;
-  close.outputs = daricch::state_outputs(st_, pub_a_.main, pub_b_.main);
+  close.outputs = daricch::state_outputs(st_, payout_a_, payout_b_);
   close.outputs.push_back({collateral(), tx::Condition::p2wpkh(tower_payout_.pk.compressed())});
-  const Bytes sa = tx::sign_input(close, 0, main_a_.sk, scheme, SighashFlag::kAll);
-  const Bytes sb = tx::sign_input(close, 0, main_b_.sk, scheme, SighashFlag::kAll);
+  const tx::SighashCache sh_close(close);
+  const Bytes sa = tx::sign_input(close, 0, main_a_, scheme, SighashFlag::kAll, &sh_close);
+  const Bytes sb = tx::sign_input(close, 0, main_b_, scheme, SighashFlag::kAll, &sh_close);
   daricch::attach_funding_witness(close, 0, fund_script_, sa, sb);
   env_.message_round(PartyId::kA, "fppw/close");
   obs_.weight->observe(static_cast<std::int64_t>(tx::measure(close).weight()));
@@ -221,11 +217,10 @@ void FppwChannel::on_round() {
     return;
   }
   if (pending_split_) {
-    auto& [post_round, bound] = *pending_split_;
-    if (post_round != -1 && env_.now() >= post_round) {
-      ledger.post(bound);
-      post_round = -1;
-    } else if (post_round == -1 && ledger.is_confirmed(bound.txid())) {
+    if (!pending_split_->posted && env_.now() >= pending_split_->post_round) {
+      ledger.post(pending_split_->bound);
+      pending_split_->posted = true;
+    } else if (pending_split_->posted && ledger.is_confirmed(pending_split_->txid)) {
       note_closed(FppwOutcome::kNonCollaborative);
     }
     return;
@@ -235,18 +230,12 @@ void FppwChannel::on_round() {
   if (fraud_seen_round_ && !tower_online_) {
     if (env_.now() >= *fraud_seen_round_ + params_.t_punish) {
       // Identify the publisher by extraction, then claim the collateral.
+      const auto state = state_of(*fraud_commit_txid_);
+      if (!state) return;
+      const ArchivedState* rec = &archive_[*state];
       const auto spender = ledger.spender_of(fund_op_);
-      std::uint32_t state = 0;
-      const ArchivedState* rec = nullptr;
-      for (std::uint32_t i = 0; i < archive_.size(); ++i) {
-        if (archive_[i].commit_body.txid() == *fraud_commit_txid_) {
-          rec = &archive_[i];
-          state = i;
-          break;
-        }
-      }
-      if (!rec || !spender) return;
-      const StateSecrets sec = state_secrets(state);
+      if (!spender) return;
+      const StateSecrets& sec = rec->sec;
       const auto raw_a =
           script::decode_wire_sig(spender->witnesses[0].stack[1], scheme.signature_size());
       const auto raw_b =
@@ -261,18 +250,18 @@ void FppwChannel::on_round() {
         } catch (const std::invalid_argument&) {
           continue;
         }
-        if (!(crypto::Point::mul_gen(y) == (a_pub ? sec.y_a.pk : sec.y_b.pk))) continue;
+        const crypto::Point& y_pk = a_pub ? sec.y_a.pk : sec.y_b.pk;
+        if (!(crypto::Point::mul_gen(y) == y_pk)) continue;
 
         tx::Transaction pen;
         pen.inputs = {{{*fraud_commit_txid_, 1}}};
         pen.nlocktime = 0;
-        pen.outputs = {{collateral(),
-                        tx::Condition::p2wpkh(a_pub ? pub_b_.main : pub_a_.main)}};
-        const Hash256 digest = tx::sighash_digest(pen, 0, SighashFlag::kAll);
-        const Bytes sig_pen = script::encode_wire_sig(
-            scheme.sign((a_pub ? pen_b_ : pen_a_).sk, digest), SighashFlag::kAll);
-        const Bytes sig_y =
-            script::encode_wire_sig(scheme.sign(y, digest), SighashFlag::kAll);
+        pen.outputs = {{collateral(), tx::Condition::p2wpkh(a_pub ? payout_b_ : payout_a_)}};
+        const tx::SighashCache sh_pen(pen);
+        const Bytes sig_pen = tx::sign_input(pen, 0, a_pub ? pen_b_ : pen_a_, scheme,
+                                             SighashFlag::kAll, &sh_pen);
+        const Bytes sig_y = tx::sign_input(pen, 0, crypto::KeyPair{y, y_pk}, scheme,
+                                           SighashFlag::kAll, &sh_pen);
         pen.witnesses.resize(1);
         pen.witnesses[0].stack = {Bytes{}, sig_pen, sig_y,
                                   a_pub ? Bytes{1} : Bytes{}, Bytes{}};
@@ -287,25 +276,18 @@ void FppwChannel::on_round() {
     return;
   }
 
-  const auto spender = ledger.spender_of(fund_op_);
-  if (!spender) return;
-  const Hash256 id = spender->txid();
+  const auto spent_by = ledger.spender_txid(fund_op_);
+  if (!spent_by) return;
+  const Hash256 id = *spent_by;
   if (expected_close_txid_ && id == *expected_close_txid_) {
     note_closed(FppwOutcome::kCooperative);
     return;
   }
-  std::uint32_t state = 0;
-  const ArchivedState* rec = nullptr;
-  for (std::uint32_t i = 0; i < archive_.size(); ++i) {
-    if (archive_[i].commit_body.txid() == id) {
-      rec = &archive_[i];
-      state = i;
-      break;
-    }
-  }
-  if (!rec) return;
+  const auto state = state_of(id);
+  if (!state) return;
+  const ArchivedState* rec = &archive_[*state];
 
-  if (state < sn_) {
+  if (*state < sn_) {
     // Revoked: the tower (if online) fires the pre-signed revocation for
     // the non-publishing victim.
     if (!tower_online_) {
@@ -315,14 +297,14 @@ void FppwChannel::on_round() {
     }
     // Identify the publisher: if B's on-chain signature slot is the
     // adaptor-completion of pre_b, then A published, so B is the victim.
-    const StateSecrets sec = state_secrets(state);
+    const auto spender = ledger.spender_of(fund_op_);
     const auto raw_b =
         script::decode_wire_sig(spender->witnesses[0].stack[2], scheme.signature_size());
     PartyId victim = PartyId::kA;  // assume B published
     if (raw_b) {
       try {
         const crypto::Scalar y = crypto::adaptor_extract(raw_b->raw, rec->pre_b);
-        if (crypto::Point::mul_gen(y) == sec.y_a.pk) victim = PartyId::kB;
+        if (crypto::Point::mul_gen(y) == rec->sec.y_a.pk) victim = PartyId::kB;
       } catch (const std::invalid_argument&) {
       }
     }
@@ -330,7 +312,7 @@ void FppwChannel::on_round() {
       if (rv.commit_txid != id) continue;
       // The stored pair is [victim=A, victim=B]; match by payout key.
       const auto& payout = rv.revocation.outputs[0].cond;
-      const bool pays_a = payout == tx::Condition::p2wpkh(pub_a_.main);
+      const bool pays_a = payout == tx::Condition::p2wpkh(payout_a_);
       if ((victim == PartyId::kA) == pays_a) {
         ledger.post(rv.revocation);
         obs_.punish_posted->inc();
@@ -349,7 +331,9 @@ void FppwChannel::on_round() {
   split.witnesses.resize(1);
   split.witnesses[0].stack = {Bytes{}, split_sig_a_, split_sig_b_, Bytes{}};
   split.witnesses[0].witness_script = out0_;
-  pending_split_ = {{(conf ? *conf : env_.now()) + params_.t_punish, std::move(split)}};
+  const Hash256 split_txid = split.txid();
+  pending_split_ =
+      PendingSplit{std::move(split), split_txid, (conf ? *conf : env_.now()) + params_.t_punish};
 }
 
 bool FppwChannel::run_until_closed(Round max_rounds) {

@@ -23,7 +23,6 @@
 #include "src/channel/params.h"
 #include "src/channel/state.h"
 #include "src/crypto/adaptor.h"
-#include "src/daric/wallet.h"
 #include "src/obs/handles.h"
 #include "src/sim/environment.h"
 #include "src/sim/party.h"
@@ -68,9 +67,7 @@ class FppwChannel {
     crypto::KeyPair y_a, y_b;  // publisher statements
   };
   StateSecrets state_secrets(std::uint32_t state) const;
-  script::Script out0_script(std::uint32_t state) const;
-  script::Script out1_script(std::uint32_t state) const;
-  tx::Transaction build_commit_body(std::uint32_t state) const;
+  script::Script out1_script(const StateSecrets& sec) const;
   tx::Transaction assemble_commit(sim::PartyId publisher, std::uint32_t state) const;
   tx::Transaction build_revocation(std::uint32_t state, sim::PartyId victim) const;
   void sign_state(std::uint32_t state, const channel::StateVec& st);
@@ -81,11 +78,14 @@ class FppwChannel {
   sim::Environment& env_;
   channel::ChannelParams params_;
   obs::EngineHandles obs_;  // bound once in the constructor
-  daricch::DaricPubKeys pub_a_, pub_b_;
   crypto::KeyPair main_a_, main_b_;             // funding / split keys
   crypto::KeyPair rev_a_, rev_b_, rev_w_;       // revocation (3-of-3)
   crypto::KeyPair pen_a_, pen_b_;               // penalty keys
   crypto::KeyPair tower_payout_;
+  // Payout keys: the `<id>/fppw/X/main` wallet keys, i.e. main_*.pk.
+  Bytes payout_a_, payout_b_;
+  // out0's script: its keys are per-channel, so it is the same every state.
+  script::Script out0_;
 
   bool open_ = false;
   bool tower_online_ = true;
@@ -96,16 +96,19 @@ class FppwChannel {
 
   // Latest state material (single, non-duplicated commit, like GC).
   tx::Transaction commit_body_;
-  script::Script out0_, out1_;
   crypto::AdaptorPreSig pre_a_, pre_b_;
   tx::Transaction split_body_;
   Bytes split_sig_a_, split_sig_b_;
 
   struct ArchivedState {
     tx::Transaction commit_body;
-    script::Script out0, out1;
+    Hash256 commit_txid;
+    script::Script out1;
     crypto::AdaptorPreSig pre_a, pre_b;
+    StateSecrets sec;  // derived once, when the state is signed
   };
+  /// The state whose commit has `txid`, if any.
+  std::optional<std::uint32_t> state_of(const Hash256& commit_txid) const;
   std::vector<ArchivedState> archive_;
   // Tower-held (and party-held) fully signed revocations, one per revoked
   // state — the O(n) storage of Table 1.
@@ -119,9 +122,16 @@ class FppwChannel {
   std::optional<Hash256> expected_close_txid_;
   std::optional<Hash256> pending_txid_;
   bool pending_is_compensation_ = false;
-  std::optional<std::pair<Round, tx::Transaction>> pending_split_;
+  struct PendingSplit {
+    tx::Transaction bound;
+    Hash256 txid;
+    Round post_round = 0;
+    bool posted = false;
+  };
+  std::optional<PendingSplit> pending_split_;
   std::optional<Round> fraud_seen_round_;
   std::optional<Hash256> fraud_commit_txid_;
+  sim::RoundHooks hooks_{env_};
 };
 
 }  // namespace daric::fppw

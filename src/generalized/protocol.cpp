@@ -67,13 +67,11 @@ GeneralizedChannel::GeneralizedChannel(sim::Environment& env, channel::ChannelPa
     throw std::invalid_argument(
         "Generalized channels need adaptor signatures; scheme '" + env_.scheme().name() +
         "' has none (this is the compatibility limitation Daric avoids)");
-  const daricch::DaricKeys ka = daricch::DaricKeys::derive("A", params_.id + "/gc");
-  const daricch::DaricKeys kb = daricch::DaricKeys::derive("B", params_.id + "/gc");
-  pub_a_ = to_pub(ka);
-  pub_b_ = to_pub(kb);
   main_a_ = crypto::derive_keypair(params_.id + "/gc/A/main");
   main_b_ = crypto::derive_keypair(params_.id + "/gc/B/main");
-  env_.add_round_hook([this] { on_round(); });
+  payout_a_ = main_a_.pk.compressed();
+  payout_b_ = main_b_.pk.compressed();
+  hooks_.add([this] { on_round(); });
 }
 
 GeneralizedChannel::StateSecrets GeneralizedChannel::state_secrets(std::uint32_t state) const {
@@ -87,39 +85,34 @@ GeneralizedChannel::StateSecrets GeneralizedChannel::state_secrets(std::uint32_t
           preimage(base + "/rA"), preimage(base + "/rB")};
 }
 
-script::Script GeneralizedChannel::output_script(std::uint32_t state) const {
-  const StateSecrets s = state_secrets(state);
-  const Hash256 ha = crypto::Sha256::double_hash(s.r_a);
-  const Hash256 hb = crypto::Sha256::double_hash(s.r_b);
-  return commit_output_script(pub_a_.main, pub_b_.main, s.y_a.pk.compressed(),
-                              s.y_b.pk.compressed(), ha.view(), hb.view(),
+script::Script GeneralizedChannel::output_script(const StateSecrets& sec) const {
+  const Hash256 ha = crypto::Sha256::double_hash(sec.r_a);
+  const Hash256 hb = crypto::Sha256::double_hash(sec.r_b);
+  return commit_output_script(payout_a_, payout_b_, sec.y_a.pk.compressed(),
+                              sec.y_b.pk.compressed(), ha.view(), hb.view(),
                               static_cast<std::uint32_t>(params_.t_punish));
-}
-
-tx::Transaction GeneralizedChannel::build_commit_body(std::uint32_t state) const {
-  tx::Transaction t;
-  t.inputs = {{fund_op_}};
-  t.nlocktime = params_.s0 + state;  // state identifier (Sec. 8 trick)
-  t.outputs = {{params_.capacity(), tx::Condition::p2wsh(output_script(state))}};
-  return t;
 }
 
 void GeneralizedChannel::sign_state(std::uint32_t state, const channel::StateVec& st) {
   const auto& scheme = env_.scheme();
-  const StateSecrets sec = state_secrets(state);
-  commit_body_ = build_commit_body(state);
-  out_script_ = output_script(state);
+  StateSecrets sec = state_secrets(state);
+  out_script_ = output_script(sec);
+  commit_body_ = tx::Transaction{};
+  commit_body_.inputs = {{fund_op_}};
+  commit_body_.nlocktime = params_.s0 + state;  // state identifier (Sec. 8 trick)
+  commit_body_.outputs = {{params_.capacity(), tx::Condition::p2wsh(out_script_)}};
+  const Hash256 commit_txid = commit_body_.txid();
   const Hash256 digest = tx::sighash_digest(commit_body_, 0, SighashFlag::kAll);
   // Each party generates its statement (1 exp) and a pre-signature (1 sign).
   crypto::op_counters().exps.fetch_add(2, std::memory_order_relaxed);
   crypto::op_counters().signs.fetch_add(2, std::memory_order_relaxed);
-  pre_a_ = crypto::adaptor_pre_sign(main_a_.sk, digest, sec.y_b.pk);  // held by B
-  pre_b_ = crypto::adaptor_pre_sign(main_b_.sk, digest, sec.y_a.pk);  // held by A
+  pre_a_ = crypto::adaptor_pre_sign(main_a_, digest, sec.y_b.pk);  // held by B
+  pre_b_ = crypto::adaptor_pre_sign(main_b_, digest, sec.y_a.pk);  // held by A
 
   split_body_ = tx::Transaction{};
-  split_body_.inputs = {{{commit_body_.txid(), 0}}};
+  split_body_.inputs = {{{commit_txid, 0}}};
   split_body_.nlocktime = 0;
-  split_body_.outputs = daricch::state_outputs(st, pub_a_.main, pub_b_.main);
+  split_body_.outputs = daricch::state_outputs(st, payout_a_, payout_b_);
   const tx::SighashCache sh_split(split_body_);
   split_sig_a_ = tx::sign_input(split_body_, 0, main_a_, scheme, SighashFlag::kAll, &sh_split);
   split_sig_b_ = tx::sign_input(split_body_, 0, main_b_, scheme, SighashFlag::kAll, &sh_split);
@@ -140,7 +133,7 @@ void GeneralizedChannel::sign_state(std::uint32_t state, const channel::StateVec
   check(main_b_.pk, split_sig_b_);  // A checks B
   check(main_a_.pk, split_sig_a_);  // B checks A
 
-  archive_.push_back({commit_body_, out_script_, pre_a_, pre_b_, st});
+  archive_.push_back({commit_body_, commit_txid, out_script_, pre_a_, pre_b_, st, std::move(sec)});
 }
 
 bool GeneralizedChannel::create() {
@@ -187,7 +180,7 @@ bool GeneralizedChannel::update(const channel::StateVec& next) {
     run_until_closed();
     return false;
   }
-  const StateSecrets old = state_secrets(sn_);
+  const StateSecrets& old = archive_.at(sn_).sec;
   revealed_r_a_.push_back(old.r_a);
   revealed_r_b_.push_back(old.r_b);
   ++sn_;
@@ -202,17 +195,17 @@ bool GeneralizedChannel::update(const channel::StateVec& next) {
 
 tx::Transaction GeneralizedChannel::assemble_commit(PartyId publisher, std::uint32_t state) const {
   const ArchivedState& s = archive_.at(state);
-  const StateSecrets sec = state_secrets(state);
   tx::Transaction t = s.commit_body;
+  const Hash256 digest = tx::sighash_digest(t, 0, SighashFlag::kAll);
   Bytes sig_a, sig_b;
   if (publisher == PartyId::kA) {
-    const Hash256 digest = tx::sighash_digest(t, 0, SighashFlag::kAll);
-    sig_a = script::encode_wire_sig(env_.scheme().sign(main_a_.sk, digest), SighashFlag::kAll);
-    sig_b = script::encode_wire_sig(crypto::adaptor_adapt(s.pre_b, sec.y_a.sk), SighashFlag::kAll);
+    sig_a = script::encode_wire_sig(env_.scheme().sign_with(main_a_, digest), SighashFlag::kAll);
+    sig_b = script::encode_wire_sig(crypto::adaptor_adapt(s.pre_b, s.sec.y_a.sk),
+                                    SighashFlag::kAll);
   } else {
-    const Hash256 digest = tx::sighash_digest(t, 0, SighashFlag::kAll);
-    sig_a = script::encode_wire_sig(crypto::adaptor_adapt(s.pre_a, sec.y_b.sk), SighashFlag::kAll);
-    sig_b = script::encode_wire_sig(env_.scheme().sign(main_b_.sk, digest), SighashFlag::kAll);
+    sig_a = script::encode_wire_sig(crypto::adaptor_adapt(s.pre_a, s.sec.y_b.sk),
+                                    SighashFlag::kAll);
+    sig_b = script::encode_wire_sig(env_.scheme().sign_with(main_b_, digest), SighashFlag::kAll);
   }
   daricch::attach_funding_witness(t, 0, fund_script_, sig_a, sig_b);
   return t;
@@ -224,7 +217,7 @@ bool GeneralizedChannel::cooperative_close() {
   tx::Transaction close;
   close.inputs = {{fund_op_}};
   close.nlocktime = 0;
-  close.outputs = daricch::state_outputs(st_, pub_a_.main, pub_b_.main);
+  close.outputs = daricch::state_outputs(st_, payout_a_, payout_b_);
   const tx::SighashCache sh_close(close);
   const Bytes sa = tx::sign_input(close, 0, main_a_, scheme, SighashFlag::kAll, &sh_close);
   const Bytes sb = tx::sign_input(close, 0, main_b_, scheme, SighashFlag::kAll, &sh_close);
@@ -291,7 +284,7 @@ void GeneralizedChannel::on_round() {
                            params_.id, {}, {obs::Attr::s("phase", "split_posted")});
       ledger.post(pending_split_->bound);
       pending_split_->posted = true;
-    } else if (pending_split_->posted && ledger.is_confirmed(pending_split_->bound.txid())) {
+    } else if (pending_split_->posted && ledger.is_confirmed(pending_split_->txid)) {
       outcome_ = GcOutcome::kNonCollaborative;
       open_ = false;
       note_closed(outcome_);
@@ -299,9 +292,9 @@ void GeneralizedChannel::on_round() {
     return;
   }
 
-  const auto spender = ledger.spender_of(fund_op_);
-  if (!spender) return;
-  const Hash256 id = spender->txid();
+  const auto spent_by = ledger.spender_txid(fund_op_);
+  if (!spent_by) return;
+  const Hash256 id = *spent_by;
   if (expected_close_txid_ && id == *expected_close_txid_) {
     outcome_ = GcOutcome::kCooperative;
     open_ = false;
@@ -313,7 +306,7 @@ void GeneralizedChannel::on_round() {
   const ArchivedState* rec = nullptr;
   std::uint32_t state = 0;
   for (std::uint32_t i = 0; i < archive_.size(); ++i) {
-    if (archive_[i].commit_body.txid() == id) {
+    if (archive_[i].commit_txid == id) {
       rec = &archive_[i];
       state = i;
       break;
@@ -328,15 +321,17 @@ void GeneralizedChannel::on_round() {
     split.witnesses.resize(1);
     split.witnesses[0].stack = {Bytes{}, split_sig_a_, split_sig_b_, Bytes{1}};
     split.witnesses[0].witness_script = out_script_;
-    pending_split_ =
-        PendingSplit{std::move(split), (conf ? *conf : env_.now()) + params_.t_punish, false};
+    const Hash256 split_txid = split.txid();
+    pending_split_ = PendingSplit{std::move(split), split_txid,
+                                  (conf ? *conf : env_.now()) + params_.t_punish, false};
     return;
   }
 
   // Revoked state: identify the publisher by adaptor extraction, then
   // punish with (extracted y, revealed r).
+  const auto spender = ledger.spender_of(fund_op_);
   if (spender->witnesses.empty() || spender->witnesses[0].stack.size() != 3) return;
-  const StateSecrets sec = state_secrets(state);
+  const StateSecrets& sec = rec->sec;
   const auto raw_a = script::decode_wire_sig(spender->witnesses[0].stack[1],
                                              scheme.signature_size());
   const auto raw_b = script::decode_wire_sig(spender->witnesses[0].stack[2],
@@ -353,7 +348,7 @@ void GeneralizedChannel::on_round() {
     } catch (const std::invalid_argument&) {
       return false;
     }
-    const crypto::Point expect = a_published ? sec.y_a.pk : sec.y_b.pk;
+    const crypto::Point& expect = a_published ? sec.y_a.pk : sec.y_b.pk;
     if (!(crypto::Point::mul_gen(y) == expect)) return false;
 
     const Bytes& r = a_published ? revealed_r_a_.at(state) : revealed_r_b_.at(state);
@@ -361,12 +356,12 @@ void GeneralizedChannel::on_round() {
     punish.inputs = {{{id, 0}}};
     punish.nlocktime = 0;
     punish.outputs = {{params_.capacity(),
-                       tx::Condition::p2wpkh(a_published ? pub_b_.main : pub_a_.main)}};
-    const Hash256 digest = tx::sighash_digest(punish, 0, SighashFlag::kAll);
-    const Bytes sig_y = script::encode_wire_sig(scheme.sign(y, digest), SighashFlag::kAll);
-    const crypto::Scalar& victim_sk = a_published ? main_b_.sk : main_a_.sk;
-    const Bytes sig_main = script::encode_wire_sig(scheme.sign(victim_sk, digest),
-                                                   SighashFlag::kAll);
+                       tx::Condition::p2wpkh(a_published ? payout_b_ : payout_a_)}};
+    const tx::SighashCache sh(punish);
+    const Bytes sig_y =
+        tx::sign_input(punish, 0, crypto::KeyPair{y, expect}, scheme, SighashFlag::kAll, &sh);
+    const Bytes sig_main = tx::sign_input(punish, 0, a_published ? main_b_ : main_a_, scheme,
+                                          SighashFlag::kAll, &sh);
     punish.witnesses.resize(1);
     // Branch selectors: outer ε (punish side), inner 1 = punish A / ε = punish B.
     punish.witnesses[0].stack = {sig_main, r, sig_y,

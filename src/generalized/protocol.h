@@ -9,7 +9,6 @@
 #include "src/channel/params.h"
 #include "src/channel/state.h"
 #include "src/crypto/adaptor.h"
-#include "src/daric/wallet.h"
 #include "src/generalized/scripts.h"
 #include "src/obs/handles.h"
 #include "src/sim/environment.h"
@@ -54,8 +53,7 @@ class GeneralizedChannel {
     Bytes r_a, r_b;            // revocation preimages
   };
   StateSecrets state_secrets(std::uint32_t state) const;
-  script::Script output_script(std::uint32_t state) const;
-  tx::Transaction build_commit_body(std::uint32_t state) const;
+  script::Script output_script(const StateSecrets& sec) const;
   tx::Transaction assemble_commit(sim::PartyId publisher, std::uint32_t state) const;
   void sign_state(std::uint32_t state, const channel::StateVec& st);
   int send_reliable(sim::PartyId from, const char* type);
@@ -66,8 +64,9 @@ class GeneralizedChannel {
   sim::Environment& env_;
   channel::ChannelParams params_;
   obs::EngineHandles obs_;  // bound once in the constructor
-  daricch::DaricPubKeys pub_a_, pub_b_;
   crypto::KeyPair main_a_, main_b_;
+  // Payout keys: the `<id>/gc/X/main` wallet keys, i.e. main_*.pk.
+  Bytes payout_a_, payout_b_;
 
   bool open_ = false;
   std::uint32_t sn_ = 0;
@@ -85,9 +84,11 @@ class GeneralizedChannel {
 
   struct ArchivedState {
     tx::Transaction commit_body;
+    Hash256 commit_txid;
     script::Script out_script;
     crypto::AdaptorPreSig pre_a, pre_b;
     channel::StateVec st;
+    StateSecrets sec;  // derived once, when the state is signed
   };
   std::vector<ArchivedState> archive_;
   // Revealed revocation preimages (the O(n) storage term): index = state.
@@ -99,10 +100,12 @@ class GeneralizedChannel {
   std::optional<Hash256> pending_punish_txid_;
   struct PendingSplit {
     tx::Transaction bound;
+    Hash256 txid;
     Round post_round = 0;
     bool posted = false;
   };
   std::optional<PendingSplit> pending_split_;
+  sim::RoundHooks hooks_{env_};
 };
 
 }  // namespace daric::generalized

@@ -137,6 +137,12 @@ std::optional<tx::Transaction> Ledger::spender_of(const tx::OutPoint& op) const 
   return tx_by_id_.at(it->second);
 }
 
+std::optional<Hash256> Ledger::spender_txid(const tx::OutPoint& op) const {
+  const auto it = spent_by_.find(op);
+  if (it == spent_by_.end()) return std::nullopt;
+  return it->second;
+}
+
 std::optional<TxError> Ledger::post_result(const Hash256& txid) const {
   // Latest record for this txid (a tx may be re-posted).
   for (auto it = records_.rbegin(); it != records_.rend(); ++it) {

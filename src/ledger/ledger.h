@@ -68,6 +68,9 @@ class Ledger {
   std::optional<Utxo> find_utxo(const tx::OutPoint& op) const { return utxos_.find(op); }
   /// The confirmed transaction that spent `op`, if any.
   std::optional<tx::Transaction> spender_of(const tx::OutPoint& op) const;
+  /// The txid of that transaction, without copying or re-hashing it: the
+  /// query round hooks make every round.
+  std::optional<Hash256> spender_txid(const tx::OutPoint& op) const;
   std::optional<TxError> post_result(const Hash256& txid) const;
 
   const std::vector<AcceptedTx>& accepted() const { return accepted_; }

@@ -62,15 +62,13 @@ LightningChannel::LightningChannel(sim::Environment& env, channel::ChannelParams
     : env_(env), params_(std::move(params)),
       obs_(obs::EngineHandles::bind(env.metrics(), "lightning")) {
   params_.validate(env_.delta());
-  const daricch::DaricKeys ka = daricch::DaricKeys::derive("A", params_.id + "/ln");
-  const daricch::DaricKeys kb = daricch::DaricKeys::derive("B", params_.id + "/ln");
-  pub_a_ = to_pub(ka);
-  pub_b_ = to_pub(kb);
   main_a_ = crypto::derive_keypair(params_.id + "/ln/A/main");
   main_b_ = crypto::derive_keypair(params_.id + "/ln/B/main");
   delayed_a_ = crypto::derive_keypair(params_.id + "/ln/A/delayed");
   delayed_b_ = crypto::derive_keypair(params_.id + "/ln/B/delayed");
-  env_.add_round_hook([this] { on_round(); });
+  payout_a_ = main_a_.pk.compressed();
+  payout_b_ = main_b_.pk.compressed();
+  hooks_.add([this] { on_round(); });
 }
 
 crypto::KeyPair LightningChannel::revocation_keypair(PartyId owner, std::uint32_t state) const {
@@ -80,27 +78,29 @@ crypto::KeyPair LightningChannel::revocation_keypair(PartyId owner, std::uint32_
                                 std::to_string(state));
 }
 
-tx::Transaction LightningChannel::build_commit(PartyId owner, std::uint32_t state,
-                                               const channel::StateVec& st,
-                                               script::Script* to_local_out) const {
+LightningChannel::CommitRecord LightningChannel::build_commit(PartyId owner, std::uint32_t state,
+                                                              const channel::StateVec& st) const {
   const bool a = owner == PartyId::kA;
-  const crypto::KeyPair rev = revocation_keypair(owner, state);
-  const script::Script to_local =
-      to_local_script(rev.pk.compressed(), static_cast<std::uint32_t>(params_.t_punish),
+  CommitRecord rec;
+  rec.owner = owner;
+  rec.state = state;
+  rec.rev = revocation_keypair(owner, state);
+  rec.to_local =
+      to_local_script(rec.rev.pk.compressed(), static_cast<std::uint32_t>(params_.t_punish),
                       (a ? delayed_a_ : delayed_b_).pk.compressed());
-  tx::Transaction t;
+  tx::Transaction& t = rec.tx;
   t.inputs = {{fund_op_}};
   // Commitment number rides in nLockTime (BOLT 3 hides it there too; here
   // it doubles as the honest parties' state identifier).
   t.nlocktime = params_.s0 + state;
-  t.outputs = {{a ? st.to_a : st.to_b, tx::Condition::p2wsh(to_local)},
-               {a ? st.to_b : st.to_a, tx::Condition::p2wpkh(a ? pub_b_.main : pub_a_.main)}};
+  t.outputs = {{a ? st.to_a : st.to_b, tx::Condition::p2wsh(rec.to_local)},
+               {a ? st.to_b : st.to_a, tx::Condition::p2wpkh(a ? payout_b_ : payout_a_)}};
   for (const channel::Htlc& h : st.htlcs) {
     t.outputs.push_back(
-        {h.cash, tx::Condition::p2wsh(daricch::htlc_script(h, pub_a_.main, pub_b_.main))});
+        {h.cash, tx::Condition::p2wsh(daricch::htlc_script(h, payout_a_, payout_b_))});
   }
-  if (to_local_out) *to_local_out = to_local;
-  return t;
+  rec.txid = t.txid();  // segwit: the witness attached later does not change it
+  return rec;
 }
 
 void LightningChannel::sign_state(std::uint32_t state, const channel::StateVec& st) {
@@ -109,15 +109,15 @@ void LightningChannel::sign_state(std::uint32_t state, const channel::StateVec& 
   // counted toward Table 3's Exp column.
   crypto::op_counters().exps.fetch_add(2, std::memory_order_relaxed);
 
-  commit_a_ = build_commit(PartyId::kA, state, st, &to_local_a_);
-  commit_b_ = build_commit(PartyId::kB, state, st, &to_local_b_);
+  CommitRecord ra = build_commit(PartyId::kA, state, st);
+  CommitRecord rb = build_commit(PartyId::kB, state, st);
   // One digest cache per commit body, shared between the two signatures on
   // it and the verification below.
-  const tx::SighashCache sh_a(commit_a_), sh_b(commit_b_);
-  const Bytes sa_on_a = tx::sign_input(commit_a_, 0, main_a_, scheme, SighashFlag::kAll, &sh_a);
-  const Bytes sb_on_a = tx::sign_input(commit_a_, 0, main_b_, scheme, SighashFlag::kAll, &sh_a);
-  const Bytes sa_on_b = tx::sign_input(commit_b_, 0, main_a_, scheme, SighashFlag::kAll, &sh_b);
-  const Bytes sb_on_b = tx::sign_input(commit_b_, 0, main_b_, scheme, SighashFlag::kAll, &sh_b);
+  const tx::SighashCache sh_a(ra.tx), sh_b(rb.tx);
+  const Bytes sa_on_a = tx::sign_input(ra.tx, 0, main_a_, scheme, SighashFlag::kAll, &sh_a);
+  const Bytes sb_on_a = tx::sign_input(ra.tx, 0, main_b_, scheme, SighashFlag::kAll, &sh_a);
+  const Bytes sa_on_b = tx::sign_input(rb.tx, 0, main_a_, scheme, SighashFlag::kAll, &sh_b);
+  const Bytes sb_on_b = tx::sign_input(rb.tx, 0, main_b_, scheme, SighashFlag::kAll, &sh_b);
   // Each party verifies the counterparty's signature on its own commit
   // (Table 3: 1 verification per party at m = 0).
   auto check = [&](const tx::SighashCache& sh, const crypto::Point& pk, const Bytes& wire) {
@@ -127,10 +127,12 @@ void LightningChannel::sign_state(std::uint32_t state, const channel::StateVec& 
   };
   check(sh_a, main_b_.pk, sb_on_a);  // A checks B's sig on TX^A
   check(sh_b, main_a_.pk, sa_on_b);  // B checks A's sig on TX^B
-  daricch::attach_funding_witness(commit_a_, 0, fund_script_, sa_on_a, sb_on_a);
-  daricch::attach_funding_witness(commit_b_, 0, fund_script_, sa_on_b, sb_on_b);
-  archive_.push_back({commit_a_, to_local_a_, PartyId::kA, state});
-  archive_.push_back({commit_b_, to_local_b_, PartyId::kB, state});
+  daricch::attach_funding_witness(ra.tx, 0, fund_script_, sa_on_a, sb_on_a);
+  daricch::attach_funding_witness(rb.tx, 0, fund_script_, sa_on_b, sb_on_b);
+  commit_a_ = ra.tx;
+  commit_b_ = rb.tx;
+  archive_.push_back(std::move(ra));
+  archive_.push_back(std::move(rb));
 }
 
 bool LightningChannel::create() {
@@ -171,8 +173,8 @@ bool LightningChannel::update(const channel::StateVec& next) {
   sign_state(sn_ + 1, next);
   if (!send_or_close(PartyId::kA, "ln/revoke")) return false;
   // Reveal the state-sn_ secrets; the counterparty stores them forever.
-  secrets_of_a_.push_back(revocation_keypair(PartyId::kA, sn_).sk.to_be_bytes());
-  secrets_of_b_.push_back(revocation_keypair(PartyId::kB, sn_).sk.to_be_bytes());
+  secrets_of_a_.push_back(record(PartyId::kA, sn_).rev.sk.to_be_bytes());
+  secrets_of_b_.push_back(record(PartyId::kB, sn_).rev.sk.to_be_bytes());
   ++sn_;
   st_ = next;
   obs_.updates->inc();
@@ -189,7 +191,7 @@ bool LightningChannel::cooperative_close() {
   tx::Transaction close;
   close.inputs = {{fund_op_}};
   close.nlocktime = 0;
-  close.outputs = daricch::state_outputs(st_, pub_a_.main, pub_b_.main);
+  close.outputs = daricch::state_outputs(st_, payout_a_, payout_b_);
   const tx::SighashCache sh_close(close);
   const Bytes sa = tx::sign_input(close, 0, main_a_, scheme, SighashFlag::kAll, &sh_close);
   const Bytes sb = tx::sign_input(close, 0, main_b_, scheme, SighashFlag::kAll, &sh_close);
@@ -222,20 +224,15 @@ void LightningChannel::force_close(PartyId who) {
 }
 
 void LightningChannel::publish_old_commit(PartyId who, std::uint32_t state) {
-  for (const CommitRecord& r : archive_) {
-    if (r.owner == who && r.state == state) {
-      obs_.disputes->inc();
-      observe_weight(obs_.weight, r.tx);
-      if (env_.tracer().enabled())
-        env_.tracer().emit(env_.now(), obs::EventKind::kForceClose, "lightning", params_.id,
-                           sim::party_name(who),
-                           {obs::Attr::i("sn", static_cast<std::int64_t>(state)),
-                            obs::Attr::i("revoked", state < sn_ ? 1 : 0)});
-      env_.ledger().post(r.tx);
-      return;
-    }
-  }
-  throw std::out_of_range("no archived commit for that state");
+  const tx::Transaction& cm = record(who, state).tx;  // throws std::out_of_range if absent
+  obs_.disputes->inc();
+  observe_weight(obs_.weight, cm);
+  if (env_.tracer().enabled())
+    env_.tracer().emit(env_.now(), obs::EventKind::kForceClose, "lightning", params_.id,
+                       sim::party_name(who),
+                       {obs::Attr::i("sn", static_cast<std::int64_t>(state)),
+                        obs::Attr::i("revoked", state < sn_ ? 1 : 0)});
+  env_.ledger().post(cm);
 }
 
 void LightningChannel::on_round() {
@@ -258,9 +255,9 @@ void LightningChannel::on_round() {
       sweep.inputs = {{pending_sweep_->to_local_op}};
       sweep.nlocktime = 0;
       const bool a = pending_sweep_->owner == PartyId::kA;
-      sweep.outputs = {{pending_sweep_->cash, tx::Condition::p2wpkh(a ? pub_a_.main : pub_b_.main)}};
-      const Bytes sig = tx::sign_input(sweep, 0, (a ? delayed_a_ : delayed_b_).sk, scheme,
-                                       SighashFlag::kAll);
+      sweep.outputs = {{pending_sweep_->cash, tx::Condition::p2wpkh(a ? payout_a_ : payout_b_)}};
+      const Bytes sig =
+          tx::sign_input(sweep, 0, a ? delayed_a_ : delayed_b_, scheme, SighashFlag::kAll);
       sweep.witnesses.resize(1);
       sweep.witnesses[0].stack = {sig, Bytes{}};  // ELSE (delayed) branch
       sweep.witnesses[0].witness_script = pending_sweep_->script;
@@ -280,9 +277,9 @@ void LightningChannel::on_round() {
     return;
   }
 
-  const auto spender = ledger.spender_of(fund_op_);
-  if (!spender) return;
-  const Hash256 id = spender->txid();
+  const auto spent_by = ledger.spender_txid(fund_op_);
+  if (!spent_by) return;
+  const Hash256 id = *spent_by;
   if (expected_close_txid_ && id == *expected_close_txid_) {
     outcome_ = LnOutcome::kCooperative;
     open_ = false;
@@ -292,7 +289,7 @@ void LightningChannel::on_round() {
 
   const CommitRecord* rec = nullptr;
   for (const CommitRecord& r : archive_) {
-    if (r.tx.txid() == id) {
+    if (r.txid == id) {
       rec = &r;
       break;
     }
@@ -302,14 +299,13 @@ void LightningChannel::on_round() {
   if (rec->state < sn_) {
     // Revoked commitment: the victim signs with the revealed secret and
     // claims the cheater's to_local output instantly.
-    const crypto::KeyPair rev = revocation_keypair(rec->owner, rec->state);
     const bool victim_is_a = rec->owner == PartyId::kB;
     tx::Transaction claim;
     claim.inputs = {{{id, 0}}};
     claim.nlocktime = 0;
     claim.outputs = {{rec->tx.outputs[0].cash,
-                      tx::Condition::p2wpkh(victim_is_a ? pub_a_.main : pub_b_.main)}};
-    const Bytes sig = tx::sign_input(claim, 0, rev.sk, env_.scheme(), SighashFlag::kAll);
+                      tx::Condition::p2wpkh(victim_is_a ? payout_a_ : payout_b_)}};
+    const Bytes sig = tx::sign_input(claim, 0, rec->rev, env_.scheme(), SighashFlag::kAll);
     claim.witnesses.resize(1);
     claim.witnesses[0].stack = {sig, Bytes{1}};  // IF (revocation) branch
     claim.witnesses[0].witness_script = rec->to_local;
@@ -363,18 +359,12 @@ const tx::Transaction& LightningChannel::latest_commit(PartyId who) const {
 
 const tx::Transaction& LightningChannel::archived_commit(PartyId owner,
                                                          std::uint32_t state) const {
-  for (const CommitRecord& r : archive_) {
-    if (r.owner == owner && r.state == state) return r.tx;
-  }
-  throw std::out_of_range("no archived commit");
+  return record(owner, state).tx;
 }
 
 const script::Script& LightningChannel::archived_to_local(PartyId owner,
                                                           std::uint32_t state) const {
-  for (const CommitRecord& r : archive_) {
-    if (r.owner == owner && r.state == state) return r.to_local;
-  }
-  throw std::out_of_range("no archived commit");
+  return record(owner, state).to_local;
 }
 
 crypto::Scalar LightningChannel::revealed_secret(PartyId owner, std::uint32_t state) const {

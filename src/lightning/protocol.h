@@ -6,7 +6,6 @@
 
 #include "src/channel/params.h"
 #include "src/channel/state.h"
-#include "src/daric/wallet.h"
 #include "src/lightning/scripts.h"
 #include "src/obs/handles.h"
 #include "src/sim/environment.h"
@@ -48,21 +47,29 @@ class LightningChannel {
   /// counterparty (throws unless state < sn, i.e. actually revoked).
   crypto::Scalar revealed_secret(sim::PartyId owner, std::uint32_t state) const;
   BytesView payout_pk(sim::PartyId who) const {
-    return who == sim::PartyId::kA ? pub_a_.main : pub_b_.main;
+    return who == sim::PartyId::kA ? payout_a_ : payout_b_;
   }
   const channel::ChannelParams& params() const { return params_; }
 
  private:
   struct CommitRecord {
     tx::Transaction tx;          // fully signed
+    Hash256 txid;
     script::Script to_local;     // witness script of output 0
+    crypto::KeyPair rev;         // per-commitment revocation key, derived once
     sim::PartyId owner;
     std::uint32_t state = 0;
   };
 
   crypto::KeyPair revocation_keypair(sim::PartyId owner, std::uint32_t state) const;
-  tx::Transaction build_commit(sim::PartyId owner, std::uint32_t state,
-                               const channel::StateVec& st, script::Script* to_local_out) const;
+  /// `owner`'s commit for `state`, unsigned.
+  CommitRecord build_commit(sim::PartyId owner, std::uint32_t state,
+                            const channel::StateVec& st) const;
+  /// `owner`'s archived commit for `state`. sign_state runs once per state,
+  /// in order, and archives A's record then B's.
+  const CommitRecord& record(sim::PartyId owner, std::uint32_t state) const {
+    return archive_.at(2 * std::size_t{state} + (owner == sim::PartyId::kB ? 1 : 0));
+  }
   void sign_state(std::uint32_t state, const channel::StateVec& st);
   int send_reliable(sim::PartyId from, const char* type);
   void on_round();
@@ -72,9 +79,10 @@ class LightningChannel {
   sim::Environment& env_;
   channel::ChannelParams params_;
   obs::EngineHandles obs_;  // bound once in the constructor
-  daricch::DaricPubKeys pub_a_, pub_b_;
   crypto::KeyPair main_a_, main_b_;       // funding / commit keys
   crypto::KeyPair delayed_a_, delayed_b_;
+  // Payout keys: the `<id>/ln/X/main` wallet keys, i.e. main_*.pk.
+  Bytes payout_a_, payout_b_;
 
   bool open_ = false;
   std::uint32_t sn_ = 0;
@@ -83,7 +91,6 @@ class LightningChannel {
   script::Script fund_script_;
 
   tx::Transaction commit_a_, commit_b_;  // latest, fully signed
-  script::Script to_local_a_, to_local_b_;
 
   // Revealed revocation secrets: secrets_for_[x] = secrets of x's *own* old
   // commits, held by the counterparty (this is the O(n) storage).
@@ -106,6 +113,7 @@ class LightningChannel {
     Hash256 txid;
   };
   std::optional<PendingSweep> pending_sweep_;
+  sim::RoundHooks hooks_{env_};
 };
 
 }  // namespace daric::lightning

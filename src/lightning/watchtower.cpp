@@ -17,9 +17,9 @@ LightningWatchtower::StatePackage make_ln_tower_package(const LightningChannel& 
 
 void LightningWatchtower::monitor(ledger::Ledger& l) {
   if (reacted_) return;
-  const auto spender = l.spender_of(fund_op_);
-  if (!spender) return;
-  const Hash256 id = spender->txid();
+  const auto spent_by = l.spender_txid(fund_op_);
+  if (!spent_by) return;
+  const Hash256 id = *spent_by;
   for (const StatePackage& pkg : packages_) {
     if (pkg.counterparty_commit_txid != id) continue;
     // Revoked commit on-chain: claim the cheater's to_local instantly.

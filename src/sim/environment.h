@@ -13,8 +13,10 @@
 // the chaos drills and tools read instead of keeping bespoke statistics.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "src/ledger/ledger.h"
 #include "src/obs/metrics.h"
@@ -67,8 +69,21 @@ class Environment {
   void set_message_delay_budget(Round budget) { message_delay_budget_ = budget; }
   Round message_delay_budget() const { return message_delay_budget_; }
 
+  /// Identifies a registered round hook for remove_round_hook.
+  using HookId = std::uint64_t;
+
   /// Registers a hook executed at the end of every round (punish watchers).
-  void add_round_hook(std::function<void()> hook) { hooks_.push_back(std::move(hook)); }
+  /// A hook that captures an object must be removed before that object
+  /// dies; RoundHooks below does it automatically.
+  HookId add_round_hook(std::function<void()> hook) {
+    hooks_.push_back({next_hook_id_, std::move(hook)});
+    return next_hook_id_++;
+  }
+  /// Unregisters a hook (unknown ids are ignored). Not callable from
+  /// inside a hook.
+  void remove_round_hook(HookId id) {
+    std::erase_if(hooks_, [id](const Hook& h) { return h.id == id; });
+  }
 
   /// Advances one round: ledger processing first, then monitoring hooks.
   void advance_round() {
@@ -76,7 +91,7 @@ class Environment {
     rounds_->inc();
     if (tracer_.enabled())
       tracer_.emit(now(), obs::EventKind::kRoundAdvance, "sim", {}, {});
-    for (const auto& hook : hooks_) hook();
+    for (const Hook& hook : hooks_) hook.fn();
   }
   void advance_rounds(Round n) {
     for (Round i = 0; i < n; ++i) advance_round();
@@ -151,7 +166,12 @@ class Environment {
   DeliveryQueue queue_;
   FaultInjector* injector_ = nullptr;
   Round message_delay_budget_ = 3;
-  std::vector<std::function<void()>> hooks_;
+  struct Hook {
+    HookId id;
+    std::function<void()> fn;
+  };
+  std::vector<Hook> hooks_;
+  HookId next_hook_id_ = 0;
   obs::Tracer tracer_;
   obs::Registry metrics_;
   obs::Counter* msg_sent_;
@@ -161,6 +181,25 @@ class Environment {
   obs::Counter* msg_duplicated_;
   obs::Counter* rounds_;
   obs::Histogram* msg_latency_;
+};
+
+/// The round hooks one object registered, removed again when it is
+/// destroyed, so a hook capturing `this` never outlives its object. The
+/// Environment must outlive it.
+class RoundHooks {
+ public:
+  explicit RoundHooks(Environment& env) : env_(env) {}
+  ~RoundHooks() {
+    for (const Environment::HookId id : ids_) env_.remove_round_hook(id);
+  }
+  RoundHooks(const RoundHooks&) = delete;
+  RoundHooks& operator=(const RoundHooks&) = delete;
+
+  void add(std::function<void()> hook) { ids_.push_back(env_.add_round_hook(std::move(hook))); }
+
+ private:
+  Environment& env_;
+  std::vector<Environment::HookId> ids_;
 };
 
 }  // namespace daric::sim

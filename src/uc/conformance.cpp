@@ -9,7 +9,7 @@ using sim::PartyId;
 
 ConformanceChecker::ConformanceChecker(sim::Environment& env, daricch::DaricChannel& channel)
     : env_(env), channel_(channel) {
-  env_.add_round_hook([this] { on_round(); });
+  hooks_.add([this] { on_round(); });
 }
 
 void ConformanceChecker::observe_created() {

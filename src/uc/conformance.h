@@ -24,7 +24,8 @@ namespace daric::uc {
 
 class ConformanceChecker {
  public:
-  /// Registers a monitoring hook on the environment. Must outlive the run.
+  /// Registers a monitoring hook on the environment, removed again when the
+  /// checker is destroyed.
   ConformanceChecker(sim::Environment& env, daricch::DaricChannel& channel);
 
   /// Call right after DaricChannel::create() succeeded.
@@ -54,6 +55,7 @@ class ConformanceChecker {
   // γ snapshot at the moment the funding output was spent.
   channel::StateVec gamma_st_, gamma_st_prime_;
   bool had_st_prime_ = false;
+  sim::RoundHooks hooks_{env_};
 };
 
 }  // namespace daric::uc

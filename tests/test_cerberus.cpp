@@ -84,12 +84,37 @@ TEST_P(CerberusPunishSweep, TowerPunishesAndCollectsReward) {
   ASSERT_TRUE(rv.has_value());
   EXPECT_EQ(rv->outputs.size(), 2u);
   EXPECT_EQ(rv->outputs[0].cash, 1'000'000 - kReward);
+  const std::string id = "cb-p" + std::to_string(GetParam());
+  EXPECT_EQ(rv->outputs[0].cond,
+            tx::Condition::p2wpkh(crypto::derive_keypair(id + "/cb/B/main").pk.compressed()));
   EXPECT_EQ(rv->outputs[1].cash, kReward);
   EXPECT_EQ(rv->outputs[1].cond,
             tx::Condition::p2wpkh(ch.tower_reward_pk()));
+  // A's tower holds no package for B's commits; it retired without posting.
+  EXPECT_TRUE(ch.tower(PartyId::kA).retired());
+  EXPECT_FALSE(ch.tower(PartyId::kA).reacted());
 }
 
 INSTANTIATE_TEST_SUITE_P(States, CerberusPunishSweep, ::testing::Values(0u, 1u, 2u));
+
+// Once the funding output is spent by a transaction the tower holds no
+// package for, the tower stops watching: it never posts afterwards.
+TEST(Cerberus, TowerRetiresAfterCooperativeClose) {
+  sim::Environment env(kDelta, crypto::schnorr_scheme());
+  CerberusChannel ch(env, make_params("cb-retire"), kReward);
+  ASSERT_TRUE(ch.create());
+  ASSERT_TRUE(ch.update({450'000, 550'000, {}}));
+  ASSERT_TRUE(ch.update({300'000, 700'000, {}}));
+  ASSERT_TRUE(ch.cooperative_close());
+  EXPECT_EQ(ch.outcome(), CbOutcome::kCooperative);
+  const std::size_t confirmed = env.ledger().accepted().size();
+  env.advance_rounds(20);
+  EXPECT_EQ(env.ledger().accepted().size(), confirmed);
+  for (const PartyId who : {PartyId::kA, PartyId::kB}) {
+    EXPECT_TRUE(ch.tower(who).retired());
+    EXPECT_FALSE(ch.tower(who).reacted());
+  }
+}
 
 TEST(Cerberus, PartyAndTowerStorageGrowLinearly) {
   sim::Environment env(kDelta, crypto::schnorr_scheme());

@@ -852,6 +852,18 @@ TEST(FieldDiffDeathTest, MagnitudeBudgetIsAsserted) {
 // the Table 1/3 size accounting and every txid downstream, so any change to
 // the field, point or hash layers must leave them bit-for-bit identical.
 
+// The keypair pre-signature reuses the cached public key but keeps the
+// RFC 6979 nonce, so its bytes equal the secret-key variant's.
+TEST(Adaptor, KeyPairVariantMatchesSecretKeyVariant) {
+  const auto signer = crypto::derive_keypair("adaptor/kp");
+  const auto witness = crypto::derive_keypair("adaptor/y");
+  const Hash256 msg = crypto::Sha256::hash(str_bytes("keypair pre-signature"));
+  const auto by_sk = crypto::adaptor_pre_sign(signer.sk, msg, witness.pk);
+  const auto by_kp = crypto::adaptor_pre_sign(signer, msg, witness.pk);
+  EXPECT_TRUE(by_sk.r_hat == by_kp.r_hat);
+  EXPECT_EQ(by_sk.s_hat.to_be_bytes(), by_kp.s_hat.to_be_bytes());
+}
+
 TEST(GoldenWire, CompressedPubkeys) {
   EXPECT_EQ(to_hex(crypto::derive_keypair("golden/a").pk.compressed()),
             "03fdc713e3ec958eeeb5af5f4c14ba806947da95464b4d74db8f21218e68f8cd1a");

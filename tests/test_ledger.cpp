@@ -267,6 +267,15 @@ TEST(LedgerProperty, ValueConservationUnderRandomSchedules) {
       ledger.advance_round();
       ASSERT_EQ(ledger.utxos().total_value() + ledger.fees_total(), ledger.minted_total())
           << "seed=" << seed << " round=" << ledger.now();
+      // The txid-only spender query agrees with the full-transaction one.
+      for (const auto& [op, value] : coins) {
+        const auto spender = ledger.spender_of(op);
+        const auto spender_id = ledger.spender_txid(op);
+        ASSERT_EQ(spender.has_value(), spender_id.has_value()) << "seed=" << seed;
+        if (spender) {
+          ASSERT_EQ(*spender_id, spender->txid()) << "seed=" << seed;
+        }
+      }
     }
     ledger.advance_rounds(delta + 1);
     EXPECT_EQ(ledger.utxos().total_value() + ledger.fees_total(), ledger.minted_total());

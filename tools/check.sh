@@ -224,24 +224,36 @@ if ov[worst] > 1.02:
           f"(may be machine noise; re-run to confirm)")
 PY
 
-  step "BM_DaricUpdate throughput regression gate"
-  # Anchor-corrected updates/s must not drop more than 10% below the
-  # committed baseline. The SHA-256 anchor divides out machine drift the
-  # same way the trace-overhead correction does.
+  step "BM_*Update throughput regression gate"
+  # For every BM_*Update in both the committed baseline and this run,
+  # anchor-corrected updates/s must not drop more than 10% below the
+  # baseline. The SHA-256 anchor divides out machine drift the same way the
+  # trace-overhead correction does. A benchmark new in this run is gated
+  # from the next run on.
   python3 - <<'PY'
-import json, sys
+import json, re, sys
 now = json.load(open("BENCH_update_microbench.json"))["results"]
 base = json.load(open("build-release/BENCH_update_baseline.json"))["results"]
 anchor = now["BM_Sha256_1k"]["real_time_ns"] / base["BM_Sha256_1k"]["real_time_ns"]
-ips_now = now["BM_DaricUpdate"]["items_per_second"]
-ips_base = base["BM_DaricUpdate"]["items_per_second"]
-corrected = ips_now * anchor  # updates/s at the baseline machine's speed
-ratio = corrected / ips_base
-print(f"BM_DaricUpdate: {ips_now:.1f} updates/s now, {ips_base:.1f} baseline, "
-      f"anchor factor {anchor:.4f} -> corrected ratio {ratio:.3f}x")
-if ratio < 0.90:
-    sys.exit(f"ERROR: BM_DaricUpdate throughput regressed >10% "
-             f"({ratio:.3f}x of baseline after anchor correction)")
+names = sorted(n for n in now if re.fullmatch(r"BM_\w+Update", n))
+gated = [n for n in names if n in base]
+if not gated:
+    sys.exit("ERROR: no BM_*Update benchmark in both the baseline and this run")
+regressed = []
+for n in gated:
+    ips_now = now[n]["items_per_second"]
+    ips_base = base[n]["items_per_second"]
+    ratio = ips_now * anchor / ips_base  # at the baseline machine's speed
+    print(f"{n}: {ips_now:.1f} updates/s now, {ips_base:.1f} baseline, "
+          f"anchor factor {anchor:.4f} -> corrected ratio {ratio:.3f}x")
+    if ratio < 0.90:
+        regressed.append(f"{n} ({ratio:.3f}x)")
+for n in names:
+    if n not in base:
+        print(f"{n}: not in the baseline; gated from the next run on")
+if regressed:
+    sys.exit("ERROR: update throughput regressed >10% after anchor correction: "
+             + ", ".join(regressed))
 PY
 
   step "bench_obs_scale -> BENCH_obs_scale.json"
