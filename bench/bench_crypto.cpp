@@ -281,6 +281,30 @@ void BM_FieldSqrt(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldSqrt);
 
+void BM_ScalarInv(benchmark::State& state) {
+  Scalar x = bench_scalar("sc/x");
+  for (auto _ : state) {
+    x = x.inv();
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_ScalarInv);
+
+// --- hashing -----------------------------------------------------------------
+
+// One 64-byte block compression per iteration, through whichever compression
+// the CPU dispatches to (SHA-NI where available).
+void BM_Sha256Block(benchmark::State& state) {
+  const Bytes block(64, 0xab);
+  crypto::Sha256 h;
+  for (auto _ : state) {
+    h.update(block);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetBytesProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_Sha256Block);
+
 // --- scalar multiplication -------------------------------------------------
 
 void BM_MulVarPointWnaf(benchmark::State& state) {

@@ -3,6 +3,10 @@
 // per second" claim — a full Daric update must take far less than 1 s.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+
 #include "bench/bench_main.h"
 
 #include "src/cerberus/protocol.h"
@@ -19,9 +23,126 @@ namespace {
 
 using namespace daric;  // NOLINT
 
+// `tools/check.sh --bench` divides machine-speed drift out of its gates with
+// BM_Sha256_1k, so the anchor must time code that no optimization touches.
+// It hashes with this frozen copy of the portable streaming SHA-256 (the
+// library's own Sha256 dispatches to SHA-NI and pads in one step), keeping
+// the cost per unit of machine speed the same from run to run.
+namespace frozen {
+
+constexpr std::uint32_t kK[64] = {
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
+    0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
+    0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
+    0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
+    0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
+    0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
+    0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
+    0xc67178f2};
+
+inline std::uint32_t rotr(std::uint32_t x, unsigned n) { return x >> n | x << (32 - n); }
+
+class Sha256 {
+ public:
+  Sha256& update(BytesView data) {
+    total_len_ += data.size();
+    std::size_t off = 0;
+    if (buffer_len_ != 0) {
+      const std::size_t take = std::min<std::size_t>(64 - buffer_len_, data.size());
+      std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
+      buffer_len_ += take;
+      off = take;
+      if (buffer_len_ == 64) {
+        process_block(buffer_.data());
+        buffer_len_ = 0;
+      }
+    }
+    while (off + 64 <= data.size()) {
+      process_block(data.data() + off);
+      off += 64;
+    }
+    if (off < data.size()) {
+      std::memcpy(buffer_.data(), data.data() + off, data.size() - off);
+      buffer_len_ = data.size() - off;
+    }
+    return *this;
+  }
+
+  Hash256 finalize() {
+    const std::uint64_t bit_len = total_len_ * 8;
+    const Byte pad1 = 0x80;
+    update({&pad1, 1});
+    const Byte zero = 0;
+    while (buffer_len_ != 56) update({&zero, 1});
+    Byte len_be[8];
+    for (int i = 0; i < 8; ++i) len_be[i] = static_cast<Byte>(bit_len >> (56 - i * 8));
+    update({len_be, 8});
+    Hash256 out;
+    for (std::size_t i = 0; i < 32; ++i) out.data[i] = static_cast<Byte>(state_[i / 4] >> (24 - 8 * (i % 4)));
+    return out;
+  }
+
+ private:
+  // Out of line, like a library call, so the copy's cost matches the
+  // streaming hasher it was taken from.
+  __attribute__((noinline)) void process_block(const Byte* p) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = static_cast<std::uint32_t>(p[i * 4]) << 24 |
+             static_cast<std::uint32_t>(p[i * 4 + 1]) << 16 |
+             static_cast<std::uint32_t>(p[i * 4 + 2]) << 8 | p[i * 4 + 3];
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ w[i - 15] >> 3;
+      const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ w[i - 2] >> 10;
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
+    std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state_[0] += a;
+    state_[1] += b;
+    state_[2] += c;
+    state_[3] += d;
+    state_[4] += e;
+    state_[5] += f;
+    state_[6] += g;
+    state_[7] += h;
+  }
+
+  std::array<std::uint32_t, 8> state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                      0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  std::array<Byte, 64> buffer_{};
+  std::uint64_t total_len_ = 0;
+  std::size_t buffer_len_ = 0;
+};
+
+}  // namespace frozen
+
 void BM_Sha256_1k(benchmark::State& state) {
   const Bytes data(1024, 0xab);
-  for (auto _ : state) benchmark::DoNotOptimize(crypto::Sha256::hash(data));
+  if (frozen::Sha256().update(data).finalize() != crypto::Sha256::hash(data)) {
+    state.SkipWithError("the frozen SHA-256 copy disagrees with crypto::Sha256");
+    return;
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(frozen::Sha256().update(data).finalize());
 }
 BENCHMARK(BM_Sha256_1k);
 

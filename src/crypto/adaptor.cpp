@@ -22,8 +22,9 @@ bool adaptor_pre_verify(const Point& pk, const Hash256& msg, const Point& statem
                         const AdaptorPreSig& pre) {
   if (pk.is_infinity() || pre.r_hat.is_infinity()) return false;
   const Scalar e = schnorr_challenge(pre.r_hat, pk, msg);
-  // ŝ*G + Y == R̂ + e*P
-  return Point::mul_gen(pre.s_hat) + statement == pre.r_hat + pk * e;
+  // ŝ·G + Y == R̂ + e·P  ⟺  (−e)·P + ŝ·G == R̂ − Y, one Strauss–Shamir
+  // ladder. R̂ − Y is infinity when R̂ = Y, and then so must the left be.
+  return Point::mul_add_equals_vartime(e.neg(), pk, pre.s_hat, pre.r_hat + statement.neg());
 }
 
 Bytes adaptor_adapt(const AdaptorPreSig& pre, const Scalar& witness) {

@@ -572,12 +572,20 @@ Point Point::mul_add_vartime(const Scalar& a, const Point& p, const Scalar& b) {
 
 namespace {
 
-// Shared tail of the mul_add_equals variants: expect == (X/Z², Y/Z³)
-// without computing 1/Z.
+// expect == (X/Z², Y/Z³) without computing 1/Z.
 bool jac_equals_affine(const Jac& res, const Point& expect) {
   if (res.infinity || expect.is_infinity()) return res.infinity == expect.is_infinity();
   const Fe z2 = res.z.sqr();
   return expect.x() * z2 == res.x && expect.y() * z2 * res.z == res.y;
+}
+
+// Shared tail of the mul_add_matches variants: x == X/Z² without 1/Z, then
+// the parity of Y/Z³.
+bool jac_matches(const Jac& res, const Fe& x, bool y_odd) {
+  if (res.infinity) return false;
+  const Fe z2 = res.z.sqr();
+  if (!(x * z2 == res.x)) return false;
+  return (res.y * (z2 * res.z).inv()).is_odd() == y_odd;
 }
 
 }  // namespace
@@ -587,9 +595,14 @@ bool Point::mul_add_equals_vartime(const Scalar& a, const Point& p, const Scalar
   return jac_equals_affine(strauss_jac(a, p, b), expect);
 }
 
-bool Point::mul_add_equals_vartime(const Scalar& a, const PrecomputedPoint& p, const Scalar& b,
-                                   const Point& expect) {
-  return jac_equals_affine(strauss_pre_jac(a, p.impl_->d, 1, b), expect);
+bool Point::mul_add_matches_vartime(const Scalar& a, const Point& p, const Scalar& b, const Fe& x,
+                                    bool y_odd) {
+  return jac_matches(strauss_jac(a, p, b), x, y_odd);
+}
+
+bool Point::mul_add_matches_vartime(const Scalar& a, const PrecomputedPoint& p, const Scalar& b,
+                                    const Fe& x, bool y_odd) {
+  return jac_matches(strauss_pre_jac(a, p.impl_->d, 1, b), x, y_odd);
 }
 
 // vartime: begin (batch verification — signatures and randomizers are public)

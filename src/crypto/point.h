@@ -56,11 +56,20 @@ class Point {
   static bool mul_add_equals_vartime(const Scalar& a, const Point& p, const Scalar& b,
                                      const Point& expect);
 
+  /// Whether a·P + b·G is a finite point with affine x-coordinate `x` and
+  /// a y of parity `y_odd` — the point a 33-byte compressed encoding names,
+  /// checked without lifting it (no square root). The x-coordinates are
+  /// compared in Jacobian coordinates; the parity costs one field inversion,
+  /// spent only when they match. An `x` with no curve point never matches.
+  /// Variable time.
+  static bool mul_add_matches_vartime(const Scalar& a, const Point& p, const Scalar& b,
+                                      const Fe& x, bool y_odd);
+
   /// Same check against a key whose odd-multiples table was precomputed
   /// once (e.g. a channel counterparty's fixed key). Skips the per-call
   /// table build entirely. Variable time.
-  static bool mul_add_equals_vartime(const Scalar& a, const PrecomputedPoint& p,
-                                     const Scalar& b, const Point& expect);
+  static bool mul_add_matches_vartime(const Scalar& a, const PrecomputedPoint& p,
+                                      const Scalar& b, const Fe& x, bool y_odd);
 
   /// Whether Σ coeffs[i]·points[i] + gen_coeff·G is the point at infinity —
   /// the core of batch signature verification. One shared doubling chain,

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "src/crypto/modinv.h"
+
 namespace daric::crypto {
 
 namespace {
@@ -26,8 +28,10 @@ Scalar Scalar::from_be_bytes_reduce(BytesView b) {
 
 Scalar Scalar::inv() const {
   if (is_zero()) throw std::domain_error("Scalar inverse of zero");
+  // Constant-time safegcd (see modinv.h): ECDSA inverts its secret nonce.
+  static constexpr modinv::ModInfo kInfo = modinv::make_modinfo(detail::kScalarParams.m);
   Scalar r;
-  r.v_ = modarith::inv_mod(v_, params());
+  r.v_ = modinv::inverse(v_, kInfo);
   return r;
 }
 

@@ -1,6 +1,5 @@
 #include "src/crypto/schnorr.h"
 
-#include <optional>
 #include <vector>
 
 #include "src/crypto/rfc6979.h"
@@ -27,14 +26,24 @@ Bytes sign_with_nonce(const Scalar& k, const Scalar& sk, BytesView pk_bytes, con
   return concat({r, s.to_be_bytes()});
 }
 
-// Parses the (R, s) wire form; false on any malformed component.
-bool parse_sig(BytesView sig, std::optional<Point>& r, Scalar& s) {
-  if (sig.size() != kSchnorrSigSize) return false;
-  r = Point::from_compressed(sig.subspan(0, 33));
-  if (!r) return false;
+// The (R, s) wire form with R left as its encoding: the parity its prefix
+// byte names and its x-coordinate. R is never lifted to a point — an x with
+// no curve point passes here and then fails the verification equation.
+struct WireSig {
+  Fe rx;
+  bool r_odd = false;
+  Scalar s;
+};
+
+// False on a malformed component: bad size or prefix, x ≥ p, s ≥ n.
+bool split_sig(BytesView sig, WireSig& out) {
+  if (sig.size() != kSchnorrSigSize || (sig[0] != 0x02 && sig[0] != 0x03)) return false;
+  const U256 xv = U256::from_be_bytes(sig.subspan(1, 32));
   const U256 sv = U256::from_be_bytes(sig.subspan(33));
-  if (sv >= Scalar::order()) return false;
-  s = Scalar::from_u256(sv);
+  if (xv >= Fe::modulus() || sv >= Scalar::order()) return false;
+  out.rx = Fe::from_u256(xv);
+  out.r_odd = sig[0] == 0x03;
+  out.s = Scalar::from_u256(sv);
   return true;
 }
 
@@ -65,21 +74,20 @@ Bytes schnorr_sign(const KeyPair& kp, const Hash256& msg) {
 }
 
 bool schnorr_verify(const Point& pk, const Hash256& msg, BytesView sig) {
-  std::optional<Point> r;
-  Scalar s(0);
-  if (pk.is_infinity() || !parse_sig(sig, r, s)) return false;
+  WireSig w;
+  if (pk.is_infinity() || !split_sig(sig, w)) return false;
   const Scalar e = challenge(sig.subspan(0, 33), pk.compressed(), msg);
-  // s·G == R + e·P  ⟺  (−e)·P + s·G == R, one Strauss–Shamir ladder with
-  // the comparison done in Jacobian coordinates (no field inversion).
-  return Point::mul_add_equals_vartime(e.neg(), pk, s, *r);
+  // s·G == R + e·P  ⟺  (−e)·P + s·G == R, one Strauss–Shamir ladder whose
+  // result is matched against R's x in Jacobian coordinates and against its
+  // parity with one inversion.
+  return Point::mul_add_matches_vartime(e.neg(), pk, w.s, w.rx, w.r_odd);
 }
 
 bool schnorr_verify(const PrecomputedPoint& pk, const Hash256& msg, BytesView sig) {
-  std::optional<Point> r;
-  Scalar s(0);
-  if (!parse_sig(sig, r, s)) return false;
+  WireSig w;
+  if (!split_sig(sig, w)) return false;
   const Scalar e = challenge(sig.subspan(0, 33), pk.point().compressed(), msg);
-  return Point::mul_add_equals_vartime(e.neg(), pk, s, *r);
+  return Point::mul_add_matches_vartime(e.neg(), pk, w.s, w.rx, w.r_odd);
 }
 
 namespace {

@@ -1,5 +1,10 @@
 #include "src/crypto/sha256.h"
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace daric::crypto {
 
 namespace {
@@ -21,48 +26,125 @@ constexpr std::uint32_t kK[64] = {
 
 inline std::uint32_t rotr(std::uint32_t x, unsigned n) { return x >> n | x << (32 - n); }
 
+using CompressFn = void (*)(std::uint32_t*, const Byte*, std::size_t);
+
+CompressFn pick_compress() {
+#if defined(__x86_64__)
+  if (detail::sha256_shani_supported()) return detail::sha256_compress_shani;
+#endif
+  return detail::sha256_compress_portable;
+}
+
 }  // namespace
+
+void detail::sha256_compress_portable(std::uint32_t* state, const Byte* p, std::size_t n) {
+  for (; n > 0; --n, p += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = static_cast<std::uint32_t>(p[i * 4]) << 24 |
+             static_cast<std::uint32_t>(p[i * 4 + 1]) << 16 |
+             static_cast<std::uint32_t>(p[i * 4 + 2]) << 8 | p[i * 4 + 3];
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ w[i - 15] >> 3;
+      const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ w[i - 2] >> 10;
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__)
+
+bool detail::sha256_shani_supported() {
+  static const bool supported = [] {
+    unsigned a = 0, b = 0, c = 0, d = 0;
+    if (!__get_cpuid(1, &a, &b, &c, &d) || (c & bit_SSE4_1) == 0) return false;
+    if (!__get_cpuid_count(7, 0, &a, &b, &c, &d)) return false;
+    return (b & bit_SHA) != 0;
+  }();
+  return supported;
+}
+
+// The SHA-NI round instruction works on the state split as ABEF and CDGH,
+// two rounds per sha256rnds2; sha256msg1/msg2 extend the message schedule
+// four words at a time.
+__attribute__((target("sha,sse4.1"))) void detail::sha256_compress_shani(std::uint32_t* state,
+                                                                       const Byte* p,
+                                                                       std::size_t n) {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  for (; n > 0; --n, p += 64) {
+    const __m128i abef_in = abef, cdgh_in = cdgh;
+    // w[j % 4] holds message words 4j..4j+3 for the group of four rounds j.
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int j = 0; j < 16; ++j) {
+      __m128i& cur = w[j % 4];
+      if (j < 4) {
+        cur = _mm_shuffle_epi8(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * j)),
+                               byte_swap);
+      } else {
+        // W[t] = σ1(W[t−2]) + W[t−7] + σ0(W[t−15]) + W[t−16].
+        cur = _mm_sha256msg1_epu32(cur, w[(j - 3) % 4]);
+        cur = _mm_add_epi32(cur, _mm_alignr_epi8(w[(j - 1) % 4], w[(j - 2) % 4], 4));
+        cur = _mm_sha256msg2_epu32(cur, w[(j - 1) % 4]);
+      }
+      const __m128i wk =
+          _mm_add_epi32(cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * j)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#else
+
+bool detail::sha256_shani_supported() { return false; }
+
+#endif
 
 Sha256::Sha256() { std::copy(std::begin(kInit), std::end(kInit), state_.begin()); }
 
-void Sha256::process_block(const Byte* p) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<std::uint32_t>(p[i * 4]) << 24 |
-           static_cast<std::uint32_t>(p[i * 4 + 1]) << 16 |
-           static_cast<std::uint32_t>(p[i * 4 + 2]) << 8 | p[i * 4 + 3];
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ w[i - 15] >> 3;
-    const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ w[i - 2] >> 10;
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+void Sha256::process_blocks(const Byte* blocks, std::size_t n) {
+  static const CompressFn compress = pick_compress();
+  compress(state_.data(), blocks, n);
 }
 
 Sha256& Sha256::update(BytesView data) {
@@ -74,13 +156,14 @@ Sha256& Sha256::update(BytesView data) {
     buffer_len_ += take;
     off = take;
     if (buffer_len_ == 64) {
-      process_block(buffer_.data());
+      process_blocks(buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (off + 64 <= data.size()) {
-    process_block(data.data() + off);
-    off += 64;
+  const std::size_t whole = (data.size() - off) / 64;
+  if (whole != 0) {
+    process_blocks(data.data() + off, whole);
+    off += whole * 64;
   }
   if (off < data.size()) {
     std::memcpy(buffer_.data(), data.data() + off, data.size() - off);
@@ -90,14 +173,19 @@ Sha256& Sha256::update(BytesView data) {
 }
 
 Hash256 Sha256::finalize() {
+  // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit big-endian bit
+  // length — one extra block when the tail leaves no room for the length.
   const std::uint64_t bit_len = total_len_ * 8;
-  const Byte pad1 = 0x80;
-  update({&pad1, 1});
-  const Byte zero = 0;
-  while (buffer_len_ != 56) update({&zero, 1});
-  Byte len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = static_cast<Byte>(bit_len >> (56 - i * 8));
-  update({len_be, 8});
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    process_blocks(buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i)
+    buffer_[static_cast<std::size_t>(56 + i)] = static_cast<Byte>(bit_len >> (56 - i * 8));
+  process_blocks(buffer_.data(), 1);
   Hash256 out;
   for (int i = 0; i < 8; ++i) {
     out.data[static_cast<std::size_t>(i * 4)] = static_cast<Byte>(state_[static_cast<std::size_t>(i)] >> 24);

@@ -1,4 +1,8 @@
 // SHA-256 (FIPS 180-4) and the double-SHA256 used for txids.
+//
+// The block compression runs on the SHA-NI instructions when the CPU has
+// them (x86-64 with SHA and SSE4.1, checked once per process) and on the
+// portable implementation otherwise.
 #pragma once
 
 #include "src/util/bytes.h"
@@ -21,11 +25,24 @@ class Sha256 {
   static Sha256 tagged_init(std::string_view tag);
 
  private:
-  void process_block(const Byte* block);
+  /// Compresses `n` consecutive 64-byte blocks into the state.
+  void process_blocks(const Byte* blocks, std::size_t n);
   std::array<std::uint32_t, 8> state_;
   std::array<Byte, 64> buffer_{};
   std::uint64_t total_len_ = 0;
   std::size_t buffer_len_ = 0;
 };
+
+namespace detail {
+// The two compression functions, exposed so tests can compare them. Each
+// folds `n` consecutive 64-byte blocks into the eight-word state.
+void sha256_compress_portable(std::uint32_t* state, const Byte* blocks, std::size_t n);
+#if defined(__x86_64__)
+/// Only valid where sha256_shani_supported() holds.
+void sha256_compress_shani(std::uint32_t* state, const Byte* blocks, std::size_t n);
+#endif
+/// Whether this CPU has the SHA and SSE4.1 instruction sets.
+bool sha256_shani_supported();
+}  // namespace detail
 
 }  // namespace daric::crypto

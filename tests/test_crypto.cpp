@@ -117,6 +117,90 @@ TEST(Sha256, TaggedHashDomainSeparates) {
   EXPECT_NE(crypto::Sha256::tagged("a", d), crypto::Sha256::tagged("b", d));
 }
 
+// --- SHA-NI compression against the portable one ---------------------------
+
+constexpr std::uint32_t kSha256Iv[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+// FIPS 180-4 padding of `msg`, as whole 64-byte blocks.
+Bytes sha256_padded(const Bytes& msg) {
+  Bytes out = msg;
+  out.push_back(0x80);
+  while (out.size() % 64 != 56) out.push_back(0);
+  const std::uint64_t bits = msg.size() * 8;
+  for (int i = 7; i >= 0; --i) out.push_back(static_cast<Byte>(bits >> (8 * i)));
+  return out;
+}
+
+using CompressFn = void (*)(std::uint32_t*, const Byte*, std::size_t);
+
+std::string sha256_with(CompressFn compress, const Bytes& msg) {
+  std::uint32_t st[8];
+  std::copy(std::begin(kSha256Iv), std::end(kSha256Iv), st);
+  const Bytes blocks = sha256_padded(msg);
+  compress(st, blocks.data(), blocks.size() / 64);
+  Hash256 h;
+  for (std::size_t i = 0; i < 32; ++i) h.data[i] = static_cast<Byte>(st[i / 4] >> (24 - 8 * (i % 4)));
+  return h.hex();
+}
+
+TEST(Sha256Compress, PortableMatchesNistVectors) {
+  EXPECT_EQ(sha256_with(crypto::detail::sha256_compress_portable, str_bytes("abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(sha256_with(crypto::detail::sha256_compress_portable,
+                        str_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+TEST(Sha256Compress, ShaNiMatchesPortable) {
+#if defined(__x86_64__)
+  if (!crypto::detail::sha256_shani_supported())
+    GTEST_SKIP() << "this CPU lacks SHA-NI or SSE4.1; the portable compression is in use";
+  const CompressFn shani = crypto::detail::sha256_compress_shani;
+  const CompressFn portable = crypto::detail::sha256_compress_portable;
+  EXPECT_EQ(sha256_with(shani, {}),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(sha256_with(shani, str_bytes("abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(sha256_with(shani,
+                        str_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  // Random states and runs of 1..8 random blocks.
+  std::mt19937_64 rng(0x5A256);
+  for (int i = 0; i < 500; ++i) {
+    std::uint32_t a[8], b[8];
+    for (int k = 0; k < 8; ++k) a[k] = b[k] = static_cast<std::uint32_t>(rng());
+    Bytes blocks(64 * (1 + rng() % 8));
+    for (Byte& x : blocks) x = static_cast<Byte>(rng());
+    shani(a, blocks.data(), blocks.size() / 64);
+    portable(b, blocks.data(), blocks.size() / 64);
+    ASSERT_TRUE(std::equal(a, a + 8, b)) << i;
+  }
+#else
+  GTEST_SKIP() << "SHA-NI is x86-64 only; the portable compression is in use";
+#endif
+}
+
+// The streaming hasher (whichever compression this CPU dispatches to, and
+// the one-step finalize padding) against padding by hand over the portable
+// compression, at every length around the block and padding boundaries.
+TEST(Sha256Compress, StreamingMatchesPortableReference) {
+  std::mt19937_64 rng(294);
+  for (std::size_t len = 0; len <= 294; ++len) {
+    Bytes msg(len);
+    for (Byte& x : msg) x = static_cast<Byte>(rng());
+    const std::string want = sha256_with(crypto::detail::sha256_compress_portable, msg);
+    ASSERT_EQ(crypto::Sha256::hash(msg).hex(), want) << len;
+    crypto::Sha256 h;  // fed in uneven pieces
+    for (std::size_t off = 0; off < len;) {
+      const std::size_t take = std::min<std::size_t>(len - off, 1 + off % 37);
+      h.update({msg.data() + off, take});
+      off += take;
+    }
+    ASSERT_EQ(h.finalize().hex(), want) << len;
+  }
+}
+
 // --- RIPEMD-160 (ISO test vectors) ------------------------------------------
 
 TEST(Ripemd160, StandardVectors) {
@@ -404,6 +488,38 @@ TEST(Adaptor, PreVerifyRejectsWrongStatement) {
   const Hash256 msg = crypto::Sha256::hash(str_bytes("commit"));
   const auto pre = crypto::adaptor_pre_sign(signer.sk, msg, witness.pk);
   EXPECT_FALSE(crypto::adaptor_pre_verify(signer.pk, msg, wrong.pk, pre));
+}
+
+TEST(Adaptor, PreVerifyRejectsTamperedParts) {
+  const auto signer = crypto::derive_keypair("adaptor-signer");
+  const auto witness = crypto::derive_keypair("adaptor-witness");
+  const Hash256 msg = crypto::Sha256::hash(str_bytes("commit"));
+  const auto pre = crypto::adaptor_pre_sign(signer, msg, witness.pk);
+  ASSERT_TRUE(crypto::adaptor_pre_verify(signer.pk, msg, witness.pk, pre));
+  auto bad_s = pre;
+  bad_s.s_hat = pre.s_hat + Scalar(1);
+  EXPECT_FALSE(crypto::adaptor_pre_verify(signer.pk, msg, witness.pk, bad_s));
+  auto bad_r = pre;
+  bad_r.r_hat = pre.r_hat + Point::generator();
+  EXPECT_FALSE(crypto::adaptor_pre_verify(signer.pk, msg, witness.pk, bad_r));
+  EXPECT_FALSE(
+      crypto::adaptor_pre_verify(signer.pk, msg, witness.pk + Point::generator(), pre));
+  EXPECT_FALSE(crypto::adaptor_pre_verify(signer.pk, msg, witness.pk.neg(), pre));
+}
+
+// R̂ = Y makes the expected point R̂ − Y infinity: ŝ = e·x then satisfies
+// ŝ·G + Y = R̂ + e·P, exactly as the two-sided check computes it.
+TEST(Adaptor, PreVerifyWhenStatementEqualsRHat) {
+  const auto signer = crypto::derive_keypair("adaptor-signer");
+  const Point y = crypto::derive_keypair("adaptor-witness").pk;
+  const Hash256 msg = crypto::Sha256::hash(str_bytes("commit"));
+  const Scalar e = crypto::schnorr_challenge(y, signer.pk, msg);
+  const crypto::AdaptorPreSig pre{y, e * signer.sk};
+  ASSERT_EQ(Point::mul_gen(pre.s_hat) + y, pre.r_hat + signer.pk * e);
+  EXPECT_TRUE(crypto::adaptor_pre_verify(signer.pk, msg, y, pre));
+  auto bad = pre;
+  bad.s_hat = pre.s_hat + Scalar(1);
+  EXPECT_FALSE(crypto::adaptor_pre_verify(signer.pk, msg, y, bad));
 }
 
 // --- Scheme abstraction ------------------------------------------------
@@ -846,6 +962,195 @@ TEST(FieldDiffDeathTest, MagnitudeBudgetIsAsserted) {
   EXPECT_DEATH((void)a.mul_int(Fe::kMaxMagnitude + 1), "");
 }
 #endif
+
+// --- Safegcd inversion against the Fermat reference ---------------------------
+
+namespace scalarref {
+const crypto::modarith::Params& params() { return crypto::detail::kScalarParams; }
+U256 inv(const U256& a) { return crypto::modarith::inv_mod(a, params()); }
+U256 minus(std::uint64_t k) {
+  U256 r;
+  crypto::sub_with_borrow(params().m, U256(k), r);
+  return r;
+}
+}  // namespace scalarref
+
+const U256 k2Pow255{0, 0, 0, 1ULL << 63};
+
+TEST(SafegcdInverse, FieldEdgeValues) {
+  for (const U256& a : {U256(1), U256(2), p_minus(1), p_minus(2), k2Pow255}) {
+    const Fe fa = Fe::from_u256(a);
+    EXPECT_EQ(fa.inv().to_u256(), fieldref::inv(a));
+    EXPECT_EQ(fa * fa.inv(), Fe(1));
+  }
+  EXPECT_THROW(Fe(0).inv(), std::domain_error);
+  EXPECT_THROW(Fe(0).neg(Fe::kMaxMulMagnitude - 1).inv(), std::domain_error);  // 16·p in limbs
+  EXPECT_THROW((Fe::from_u256(p_minus(1)) + Fe(1)).inv(), std::domain_error);  // p in limbs
+}
+
+TEST(SafegcdInverse, FieldUnreducedInputs) {
+  FieldValues gen(0x5AFE6CD);
+  for (int i = 0; i < 500; ++i) {
+    const U256 a = gen.next();
+    if (a.is_zero()) continue;
+    const Fe fa = Fe::from_u256(a);
+    const U256 want = fieldref::inv(a);
+    // Magnitude 8: −a carried as 16·p − a in the limbs, then negated back.
+    const Fe neg8 = fa.neg(Fe::kMaxMulMagnitude - 1);
+    ASSERT_EQ(neg8.inv().to_u256(), fieldref::neg(want)) << i;
+    ASSERT_EQ(fa.mul_int(Fe::kMaxMulMagnitude).inv().to_u256(),
+              fieldref::mul(want, fieldref::inv(U256(8))))
+        << i;
+    // a + p: a value at or above p before reduction.
+    const Fe above_p = fa + Fe::from_u256(p_minus(1)) + Fe(1);
+    ASSERT_EQ(above_p.inv().to_u256(), want) << i;
+  }
+}
+
+TEST(SafegcdInverse, FieldRandomMatchesReference10k) {
+  std::mt19937_64 rng(0x1DE6);
+  for (int i = 0; i < 10'000; ++i) {
+    const U256 a = crypto::modarith::normalize(U256{rng(), rng(), rng(), rng()}, fieldref::params());
+    if (a.is_zero()) continue;
+    ASSERT_EQ(Fe::from_u256(a).inv().to_u256(), fieldref::inv(a)) << i;
+  }
+}
+
+TEST(SafegcdInverse, ScalarMatchesReference) {
+  for (const U256& a : {U256(1), U256(2), scalarref::minus(1), scalarref::minus(2), k2Pow255}) {
+    const Scalar sa = Scalar::from_u256(a);
+    EXPECT_EQ(sa.inv().raw(), scalarref::inv(a));
+    EXPECT_EQ(sa * sa.inv(), Scalar(1));
+  }
+  // 32-byte inputs at or above n reduce before inverting.
+  const Scalar wrapped = Scalar::from_be_bytes_reduce(U256{~0ULL, ~0ULL, ~0ULL, ~0ULL}.to_be_bytes());
+  EXPECT_EQ(wrapped.inv().raw(), scalarref::inv(wrapped.raw()));
+  EXPECT_EQ(Scalar::from_be_bytes_reduce(Scalar::order().to_be_bytes()), Scalar(0));
+  EXPECT_THROW(Scalar(0).inv(), std::domain_error);
+  std::mt19937_64 rng(0x5CA1A);
+  for (int i = 0; i < 10'000; ++i) {
+    const U256 a = crypto::modarith::normalize(U256{rng(), rng(), rng(), rng()}, scalarref::params());
+    if (a.is_zero()) continue;
+    ASSERT_EQ(Scalar::from_u256(a).inv().raw(), scalarref::inv(a)) << i;
+  }
+}
+
+// --- Single verify without lifting R -------------------------------------------
+// schnorr_verify matches R′ = s·G − e·P against R's x and prefix parity. The
+// oracle below is the path it replaced: lift R from its encoding (square
+// root), then compare points. Both must give the same verdict on every input.
+
+bool lift_r_verify(const Point& pk, const Hash256& msg, BytesView sig) {
+  if (sig.size() != crypto::kSchnorrSigSize || pk.is_infinity()) return false;
+  const auto r = Point::from_compressed(sig.subspan(0, 33));
+  if (!r) return false;
+  const U256 sv = U256::from_be_bytes(sig.subspan(33));
+  if (sv >= Scalar::order()) return false;
+  const Scalar e = crypto::schnorr_challenge(*r, pk, msg);
+  return Point::mul_add_equals_vartime(e.neg(), pk, Scalar::from_u256(sv), *r);
+}
+
+Bytes with_r(const Byte prefix, const U256& x, BytesView sig) {
+  Bytes out{prefix};
+  append(out, x.to_be_bytes());
+  append(out, sig.subspan(33));
+  return out;
+}
+
+class SingleVerify : public ::testing::Test {
+ protected:
+  crypto::KeyPair kp = crypto::derive_keypair("single-verify");
+  crypto::PrecomputedPoint pre{kp.pk};
+  Hash256 msg = crypto::Sha256::hash(str_bytes("single verify"));
+
+  // Asserts that both overloads and the lift-R oracle agree, and returns it.
+  bool verdict(BytesView sig) {
+    const bool want = lift_r_verify(kp.pk, msg, sig);
+    EXPECT_EQ(crypto::schnorr_verify(kp.pk, msg, sig), want) << to_hex(sig);
+    EXPECT_EQ(crypto::schnorr_verify(pre, msg, sig), want) << to_hex(sig);
+    return want;
+  }
+};
+
+TEST_F(SingleVerify, ValidSignaturesAndFlippedParity) {
+  for (int i = 0; i < 16; ++i) {
+    msg = crypto::Sha256::hash(str_bytes("sv" + std::to_string(i)));
+    for (const Bytes& sig : {crypto::schnorr_sign(kp, msg), crypto::schnorr_sign(kp.sk, msg)}) {
+      EXPECT_TRUE(verdict(sig));
+      Bytes flipped = sig;
+      flipped[0] ^= 0x01;  // 02 <-> 03: the same x, the other y
+      EXPECT_FALSE(verdict(flipped));
+    }
+  }
+}
+
+// A signature built by hand on nonce point Q = k·G verifies. With s = −k + e·x
+// instead, R′ = −Q: the x the encoding names, with the other parity.
+TEST_F(SingleVerify, OppositeParityResultRejected) {
+  for (int i = 0; i < 16; ++i) {
+    const Scalar k = Scalar::from_be_bytes_reduce(
+        crypto::Sha256::hash(str_bytes("sv-nonce" + std::to_string(i))).view());
+    const Point q = Point::mul_gen(k);
+    const Scalar e = crypto::schnorr_challenge(q, kp.pk, msg);
+    EXPECT_TRUE(verdict(concat({q.compressed(), (k + e * kp.sk).to_be_bytes()})));
+    EXPECT_FALSE(verdict(concat({q.compressed(), (k.neg() + e * kp.sk).to_be_bytes()})));
+    EXPECT_TRUE(Point::mul_add_vartime(e.neg(), kp.pk, k.neg() + e * kp.sk) == q.neg());
+  }
+}
+
+TEST_F(SingleVerify, MalformedR) {
+  const Bytes sig = crypto::schnorr_sign(kp, msg);
+  const U256 rx = U256::from_be_bytes(BytesView(sig).subspan(1, 32));
+  for (const Byte prefix : {Byte{0x00}, Byte{0x04}, Byte{0x05}, Byte{0xff}})
+    EXPECT_FALSE(verdict(with_r(prefix, rx, sig)));
+  const U256 all_ones{~0ULL, ~0ULL, ~0ULL, ~0ULL};
+  U256 p_plus_1;
+  crypto::add_with_carry(kP, U256(1), p_plus_1);
+  for (const U256& x : {kP, p_plus_1, all_ones}) {
+    EXPECT_FALSE(verdict(with_r(0x02, x, sig)));
+    EXPECT_FALSE(verdict(with_r(0x03, x, sig)));
+  }
+  // An x whose x³ + 7 is a non-residue names no curve point.
+  std::uint64_t v = 1;
+  Fe root;
+  while ((Fe(v).sqr() * Fe(v) + Fe(7)).sqrt(root)) ++v;
+  const Bytes no_point = with_r(0x02, U256(v), sig);
+  EXPECT_FALSE(Point::from_compressed(BytesView(no_point).subspan(0, 33)).has_value());
+  EXPECT_FALSE(verdict(no_point));
+  EXPECT_FALSE(verdict(with_r(0x03, U256(v), sig)));
+  EXPECT_FALSE(verdict(Bytes(sig.begin(), sig.end() - 1)));  // short
+}
+
+TEST_F(SingleVerify, OutOfRangeS) {
+  const Bytes sig = crypto::schnorr_sign(kp, msg);
+  Bytes s_is_n(sig.begin(), sig.begin() + 33);
+  append(s_is_n, Scalar::order().to_be_bytes());
+  EXPECT_FALSE(verdict(s_is_n));
+  Bytes s_max(sig.begin(), sig.begin() + 33);
+  append(s_max, Bytes(32, 0xff));
+  EXPECT_FALSE(verdict(s_max));
+}
+
+// s = e·x makes R′ = s·G − e·P the point at infinity, which no R matches.
+TEST_F(SingleVerify, InfinityResultRejected) {
+  const Bytes sig = crypto::schnorr_sign(kp, msg);
+  const Point r = *Point::from_compressed(BytesView(sig).subspan(0, 33));
+  const Scalar e = crypto::schnorr_challenge(r, kp.pk, msg);
+  Bytes forged(sig.begin(), sig.begin() + 33);
+  append(forged, (e * kp.sk).to_be_bytes());
+  EXPECT_FALSE(verdict(forged));
+  EXPECT_TRUE(Point::mul_add_vartime(e.neg(), kp.pk, e * kp.sk).is_infinity());
+}
+
+TEST_F(SingleVerify, RandomTamperingAgrees) {
+  std::mt19937_64 rng(0x7A3);
+  for (int i = 0; i < 200; ++i) {
+    msg = crypto::Sha256::hash(str_bytes("tamper" + std::to_string(i)));
+    Bytes sig = crypto::schnorr_sign(kp, msg);
+    sig[rng() % sig.size()] ^= static_cast<Byte>(1u << (rng() % 8));
+    EXPECT_FALSE(verdict(sig)) << i;
+  }
+}
 
 // --- Golden wire bytes -------------------------------------------------------
 // Exact encodings pinned from a known-good build. Signature and key bytes feed
