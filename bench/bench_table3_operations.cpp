@@ -3,11 +3,8 @@
 // (signature operations are intercepted by CountingScheme).
 #include <cstdio>
 
+#include "src/channel/registry.h"
 #include "src/costmodel/table3.h"
-#include "src/daric/protocol.h"
-#include "src/eltoo/protocol.h"
-#include "src/generalized/protocol.h"
-#include "src/lightning/protocol.h"
 
 namespace {
 
@@ -26,16 +23,15 @@ struct Measured {
   double sign, verify;
 };
 
-template <typename Channel>
-Measured measure_engine(const std::string& id) {
+Measured measure_engine(const std::string& engine, const std::string& id) {
   crypto::CountingScheme counting(crypto::schnorr_scheme());
   sim::Environment env(2, counting);
-  Channel ch(env, make_params(id));
-  ch.create();
-  ch.update({45'000, 55'000, {}});  // warm-up
+  const auto ch = channel::make_engine(engine, env, make_params(id));
+  ch->create();
+  ch->update({45'000, 55'000, {}});  // warm-up
   crypto::op_counters().reset();
   const int rounds = 10;
-  for (int i = 0; i < rounds; ++i) ch.update({45'000 - i, 55'000 + i, {}});
+  for (int i = 0; i < rounds; ++i) ch->update({45'000 - i, 55'000 + i, {}});
   // Counters cover both parties; report per-party per-update.
   return {static_cast<double>(crypto::op_counters().signs.load()) / (2.0 * rounds),
           static_cast<double>(crypto::op_counters().verifies.load()) / (2.0 * rounds)};
@@ -64,10 +60,10 @@ int main() {
   std::printf("Engines sign eagerly where the paper's party defers to the\n");
   std::printf("watchtower handover, so totals match while composition differs;\n");
   std::printf("Generalized's adaptor pre-signatures are counted separately.\n\n");
-  const Measured daric_m = measure_engine<daricch::DaricChannel>("ops-daric");
-  const Measured eltoo_m = measure_engine<eltoo::EltooChannel>("ops-eltoo");
-  const Measured ln_m = measure_engine<lightning::LightningChannel>("ops-ln");
-  const Measured gc_m = measure_engine<generalized::GeneralizedChannel>("ops-gc");
+  const Measured daric_m = measure_engine("daric", "ops-daric");
+  const Measured eltoo_m = measure_engine("eltoo", "ops-eltoo");
+  const Measured ln_m = measure_engine("lightning", "ops-ln");
+  const Measured gc_m = measure_engine("generalized", "ops-gc");
   std::printf("%-13s %10s %10s   (paper sign/verify)\n", "Engine", "sign", "verify");
   std::printf("%-13s %10.1f %10.1f   (4 / 3)\n", "Daric", daric_m.sign, daric_m.verify);
   std::printf("%-13s %10.1f %10.1f   (2 / 2)\n", "eltoo", eltoo_m.sign, eltoo_m.verify);

@@ -9,15 +9,11 @@
 
 #include "bench/bench_main.h"
 
-#include "src/cerberus/protocol.h"
+#include "src/channel/registry.h"
 #include "src/crypto/ecdsa.h"
 #include "src/crypto/schnorr.h"
 #include "src/crypto/sha256.h"
 #include "src/daric/protocol.h"
-#include "src/eltoo/protocol.h"
-#include "src/fppw/protocol.h"
-#include "src/generalized/protocol.h"
-#include "src/lightning/protocol.h"
 
 namespace {
 
@@ -187,46 +183,45 @@ channel::ChannelParams bench_params(const std::string& id) {
 
 // One full channel update (all messages, signatures and verifications for
 // both parties). Throughput >> 1/s validates the unlimited-lifetime claim.
-template <typename Channel, typename... Extra>
-void channel_update_bench(benchmark::State& state, const std::string& id, Extra... extra) {
+void channel_update_bench(benchmark::State& state, const char* engine, const std::string& id) {
   sim::Environment env(2, crypto::schnorr_scheme());
-  Channel ch(env, bench_params(id), extra...);
-  ch.create();
+  const auto ch = channel::make_engine(engine, env, bench_params(id));
+  ch->create();
   Amount i = 0;
   for (auto _ : state) {
-    ch.update({400'000 + (i % 1000), 600'000 - (i % 1000), {}});
+    ch->update({400'000 + (i % 1000), 600'000 - (i % 1000), {}});
     ++i;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
 }
 
 void BM_DaricUpdate(benchmark::State& state) {
-  channel_update_bench<daricch::DaricChannel>(state, "bench-daric");
+  channel_update_bench(state, "daric", "bench-daric");
 }
 BENCHMARK(BM_DaricUpdate)->Unit(benchmark::kMicrosecond);
 
 void BM_EltooUpdate(benchmark::State& state) {
-  channel_update_bench<eltoo::EltooChannel>(state, "bench-eltoo");
+  channel_update_bench(state, "eltoo", "bench-eltoo");
 }
 BENCHMARK(BM_EltooUpdate)->Unit(benchmark::kMicrosecond);
 
 void BM_LightningUpdate(benchmark::State& state) {
-  channel_update_bench<lightning::LightningChannel>(state, "bench-ln");
+  channel_update_bench(state, "lightning", "bench-ln");
 }
 BENCHMARK(BM_LightningUpdate)->Unit(benchmark::kMicrosecond);
 
 void BM_GeneralizedUpdate(benchmark::State& state) {
-  channel_update_bench<generalized::GeneralizedChannel>(state, "bench-gc");
+  channel_update_bench(state, "generalized", "bench-gc");
 }
 BENCHMARK(BM_GeneralizedUpdate)->Unit(benchmark::kMicrosecond);
 
 void BM_CerberusUpdate(benchmark::State& state) {
-  channel_update_bench<cerberus::CerberusChannel>(state, "bench-cb", Amount{5'000});
+  channel_update_bench(state, "cerberus", "bench-cb");
 }
 BENCHMARK(BM_CerberusUpdate)->Unit(benchmark::kMicrosecond);
 
 void BM_FppwUpdate(benchmark::State& state) {
-  channel_update_bench<fppw::FppwChannel>(state, "bench-fppw");
+  channel_update_bench(state, "fppw", "bench-fppw");
 }
 BENCHMARK(BM_FppwUpdate)->Unit(benchmark::kMicrosecond);
 

@@ -1,13 +1,6 @@
 #include "src/analyze/engines.h"
 
-#include <stdexcept>
-
-#include "src/cerberus/scripts.h"
-#include "src/daric/scripts.h"
-#include "src/eltoo/scripts.h"
-#include "src/fppw/scripts.h"
-#include "src/generalized/scripts.h"
-#include "src/lightning/scripts.h"
+#include "src/channel/registry.h"
 
 namespace daric::analyze {
 
@@ -24,30 +17,18 @@ std::vector<TxTemplate> engine_templates(const std::string& engine,
                                          const channel::ChannelParams& p,
                                          const verify::Options& model,
                                          KnowledgeBase* kb) {
-  if (engine == "daric") return daricch::enumerate_templates(p, model, kb);
-  if (engine == "lightning") return lightning::enumerate_templates(p, model, kb);
-  if (engine == "eltoo") return eltoo::enumerate_templates(p, model, kb);
-  if (engine == "generalized") return generalized::enumerate_templates(p, model, kb);
-  if (engine == "cerberus") return cerberus::enumerate_templates(p, model, kb);
-  if (engine == "fppw") return fppw::enumerate_templates(p, model, kb);
-  throw std::invalid_argument("unknown engine: " + engine);
+  return channel::engine(engine).enumerate_templates(p, model, kb);
 }
 
 std::vector<TxTemplate> all_engine_templates(const channel::ChannelParams& p,
                                              const verify::Options& model) {
   std::vector<TxTemplate> out;
-  for (const std::string& e : engine_names()) {
-    std::vector<TxTemplate> ts = engine_templates(e, p, model);
+  for (const channel::EngineEntry& e : channel::engines()) {
+    std::vector<TxTemplate> ts = e.enumerate_templates(p, model, nullptr);
     out.insert(out.end(), std::make_move_iterator(ts.begin()),
                std::make_move_iterator(ts.end()));
   }
   return out;
-}
-
-const std::vector<std::string>& engine_names() {
-  static const std::vector<std::string> kNames = {"daric", "lightning", "eltoo",
-                                                  "generalized", "cerberus", "fppw"};
-  return kNames;
 }
 
 }  // namespace daric::analyze

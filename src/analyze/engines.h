@@ -1,4 +1,5 @@
-// Aggregated template enumeration across all four channel engines.
+// Aggregated template enumeration across the six channel engines of the
+// registry (src/channel/registry.h).
 //
 // The analyzer proves properties of *templates* — the fixed transaction
 // shapes an engine can ever emit — so enumerating them from the same
@@ -19,10 +20,10 @@ namespace daric::analyze {
 channel::ChannelParams params_for_model(const verify::Options& model,
                                         std::string id = "analyze");
 
-/// All templates of one engine by name ("daric", "lightning", "eltoo",
-/// "generalized"); throws std::invalid_argument on an unknown name. When
-/// `kb` is given, the enumerator also registers every signing key and hash
-/// preimage its templates depend on (the authorization analysis input).
+/// All templates of one registry engine by name; throws
+/// std::invalid_argument on an unknown name. When `kb` is given, the
+/// enumerator also registers every signing key and hash preimage its
+/// templates depend on (the authorization analysis input).
 std::vector<TxTemplate> engine_templates(const std::string& engine,
                                          const channel::ChannelParams& p,
                                          const verify::Options& model,
@@ -31,8 +32,5 @@ std::vector<TxTemplate> engine_templates(const std::string& engine,
 /// Concatenation over all engines.
 std::vector<TxTemplate> all_engine_templates(const channel::ChannelParams& p,
                                              const verify::Options& model);
-
-/// The engine names `engine_templates` accepts.
-const std::vector<std::string>& engine_names();
 
 }  // namespace daric::analyze

@@ -63,10 +63,7 @@ std::size_t CerberusWatchtower::storage_bytes() const {
 
 CerberusChannel::CerberusChannel(sim::Environment& env, channel::ChannelParams params,
                                  Amount tower_reward)
-    : env_(env),
-      params_(std::move(params)),
-      obs_(obs::EngineHandles::bind(env.metrics(), "cerberus")),
-      tower_reward_(tower_reward) {
+    : Engine(env, "cerberus", 400), params_(std::move(params)), tower_reward_(tower_reward) {
   params_.validate(env_.delta());
   if (tower_reward_ <= 0 || tower_reward_ >= params_.capacity())
     throw std::invalid_argument("tower reward must be positive and below the capacity");
@@ -151,12 +148,14 @@ void CerberusChannel::sign_state(std::uint32_t state, const channel::StateVec& s
 
 bool CerberusChannel::create() {
   fund_script_ = script::multisig_2of2(main_a_.pk.compressed(), main_b_.pk.compressed());
+  st_ = {params_.cash_a, params_.cash_b, {}};
+  sn_ = 0;
+  // Mint only once the opening handshake got through, so an aborted create
+  // leaves no funds stranded in the 2-of-2.
+  if (send_reliable(PartyId::kA, "cb/create") == 0) return false;
   fund_op_ = env_.ledger().mint(params_.capacity(), tx::Condition::p2wsh(fund_script_));
   tower_a_ = CerberusWatchtower(fund_op_);
   tower_b_ = CerberusWatchtower(fund_op_);
-  st_ = {params_.cash_a, params_.cash_b, {}};
-  sn_ = 0;
-  env_.message_round(PartyId::kA, "cb/create");
   sign_state(0, st_);
   open_ = true;
   obs_.opened->inc();
@@ -170,8 +169,10 @@ bool CerberusChannel::update(const channel::StateVec& next) {
     throw std::invalid_argument("state must preserve capacity");
   if (next.to_a <= tower_reward_ || next.to_b <= tower_reward_)
     throw std::invalid_argument("balances must exceed the tower reward");
-  env_.message_round(PartyId::kA, "cb/commit-sig");
-  env_.message_round(PartyId::kB, "cb/revocation-sig");
+  // A peer silent past the retry budget means the sender aborts to its
+  // newest fully-signed commit.
+  if (send_or_close(PartyId::kA, "cb/commit-sig") == 0) return false;
+  if (send_or_close(PartyId::kB, "cb/revocation-sig") == 0) return false;
   // Revoke the *current* state: both parties co-sign the revocation txs
   // for both old commits and hand them to the victims' towers.
   const std::uint32_t old = sn_;
@@ -189,7 +190,7 @@ bool CerberusChannel::update(const channel::StateVec& next) {
   return true;
 }
 
-bool CerberusChannel::cooperative_close() {
+bool CerberusChannel::cooperative_close(PartyId) {
   if (!open_) throw std::logic_error("channel not open");
   const auto& scheme = env_.scheme();
   tx::Transaction close;
@@ -200,7 +201,7 @@ bool CerberusChannel::cooperative_close() {
   const Bytes sa = tx::sign_input(close, 0, main_a_, scheme, SighashFlag::kAll, &sh_close);
   const Bytes sb = tx::sign_input(close, 0, main_b_, scheme, SighashFlag::kAll, &sh_close);
   daricch::attach_funding_witness(close, 0, fund_script_, sa, sb);
-  env_.message_round(PartyId::kA, "cb/close");
+  if (send_or_close(PartyId::kA, "cb/close") == 0) return false;
   obs_.weight->observe(static_cast<std::int64_t>(tx::measure(close).weight()));
   env_.ledger().post(close);
   expected_close_txid_ = close.txid();
@@ -230,6 +231,7 @@ void CerberusChannel::note_closed(CbOutcome outcome) {
 
 void CerberusChannel::on_round() {
   if (!open_ || outcome_ != CbOutcome::kNone) return;
+  if (!monitor_online_) return;
   auto& ledger = env_.ledger();
 
   if (pending_txid_) {
@@ -292,14 +294,6 @@ void CerberusChannel::on_round() {
                                 (conf ? *conf : env_.now()) + params_.t_punish,
                                 false,
                                 {}};
-}
-
-bool CerberusChannel::run_until_closed(Round max_rounds) {
-  for (Round r = 0; r < max_rounds; ++r) {
-    if (outcome_ != CbOutcome::kNone) return true;
-    env_.advance_round();
-  }
-  return outcome_ != CbOutcome::kNone;
 }
 
 std::size_t CerberusChannel::party_storage_bytes(PartyId who) const {

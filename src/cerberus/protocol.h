@@ -9,12 +9,9 @@
 #include <array>
 #include <optional>
 
-#include "src/channel/params.h"
-#include "src/channel/state.h"
+#include "src/channel/engine.h"
 #include "src/channel/watchtower.h"
 #include "src/crypto/keys.h"
-#include "src/obs/handles.h"
-#include "src/sim/environment.h"
 #include "src/sim/party.h"
 #include "src/tx/transaction.h"
 
@@ -57,22 +54,32 @@ class CerberusWatchtower : public channel::Watchtower {
   bool retired_ = false;
 };
 
-class CerberusChannel {
+class CerberusChannel final : public channel::Engine {
  public:
   /// `tower_reward` is carved out of the cheater's punished funds.
   CerberusChannel(sim::Environment& env, channel::ChannelParams params, Amount tower_reward);
 
-  bool create();
-  bool update(const channel::StateVec& next);
-  bool cooperative_close();
-  void force_close(sim::PartyId who);
+  bool create() override;
+  bool update(const channel::StateVec& next) override;
+  bool cooperative_close(sim::PartyId initiator = sim::PartyId::kA) override;
+  void force_close(sim::PartyId who) override;
   void publish_old_commit(sim::PartyId who, std::uint32_t state);
+  void publish_revoked(sim::PartyId who, std::uint32_t state) override {
+    publish_old_commit(who, state);
+  }
 
-  bool run_until_closed(Round max_rounds = 400);
   CbOutcome outcome() const { return outcome_; }
-  std::uint32_t state_number() const { return sn_; }
+  bool closed() const override { return outcome_ != CbOutcome::kNone; }
+  channel::Verdict verdict() const override { return channel::verdict_of(outcome_); }
+  /// While offline the parties' own chain monitor skips rounds; the
+  /// incentivized towers keep watching.
+  void set_monitors_online(bool a, bool b) override { monitor_online_ = a && b; }
+  std::uint32_t state_number() const override { return sn_; }
+  BytesView payout_pk(sim::PartyId who) const override {
+    return who == sim::PartyId::kA ? payout_a_ : payout_b_;
+  }
 
-  std::size_t party_storage_bytes(sim::PartyId who) const;  // O(n)
+  std::size_t party_storage_bytes(sim::PartyId who) const override;  // O(n)
   CerberusWatchtower& tower(sim::PartyId who) {
     return who == sim::PartyId::kA ? tower_a_ : tower_b_;
   }
@@ -82,7 +89,7 @@ class CerberusChannel {
   tx::OutPoint funding_outpoint() const { return fund_op_; }
   Bytes tower_reward_pk() const { return tower_key_.pk.compressed(); }
   Amount tower_reward() const { return tower_reward_; }
-  const channel::ChannelParams& params() const { return params_; }
+  const channel::ChannelParams& params() const override { return params_; }
 
  private:
   struct CommitRecord {
@@ -111,9 +118,7 @@ class CerberusChannel {
   /// Records the outcome and bumps the closed counter.
   void note_closed(CbOutcome outcome);
 
-  sim::Environment& env_;
   channel::ChannelParams params_;
-  obs::EngineHandles obs_;  // bound once in the constructor
   Amount tower_reward_;
   crypto::KeyPair main_a_, main_b_, delayed_a_, delayed_b_, tower_key_;
   // Payout keys: the `<id>/cb/X/main` wallet keys, i.e. main_*.pk.
@@ -132,6 +137,7 @@ class CerberusChannel {
   CerberusWatchtower tower_a_{tx::OutPoint{}};
   CerberusWatchtower tower_b_{tx::OutPoint{}};
 
+  bool monitor_online_ = true;
   CbOutcome outcome_ = CbOutcome::kNone;
   std::optional<Hash256> expected_close_txid_;
   std::optional<Hash256> pending_txid_;

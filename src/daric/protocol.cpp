@@ -321,39 +321,8 @@ crypto::KeyPair funding_keypair(const channel::ChannelParams& p, PartyId id) {
 
 }  // namespace
 
-namespace {
-/// Delivery attempts per protocol message before the sender concludes the
-/// link (or the counterparty) is dead and falls back to force-close.
-constexpr int kMaxSendAttempts = 3;
-}  // namespace
-
-int DaricChannel::send_reliable(DaricParty& sender, const char* type) {
-  for (int attempt = 0; attempt < kMaxSendAttempts; ++attempt) {
-    if (attempt > 0) {
-      retries_counter_->inc();
-      if (env_.tracer().enabled())
-        env_.tracer().emit(env_.now(), obs::EventKind::kMsgRetry, "daric", params_.id,
-                           sim::party_name(sender.id_),
-                           {obs::Attr::s("type", type), obs::Attr::i("attempt", attempt)});
-    }
-    const auto d = env_.transmit(sender.id_, type);
-    if (d.copies > 0) return d.copies;
-    // Dropped: the sender's ack timeout fires and it re-sends.
-  }
-  return 0;
-}
-
-int DaricChannel::send_or_close(DaricParty& sender, const char* type) {
-  const int copies = send_reliable(sender, type);
-  if (copies == 0) {
-    sender.force_close();
-    run_until_closed();
-  }
-  return copies;
-}
-
 DaricChannel::DaricChannel(sim::Environment& env, channel::ChannelParams params)
-    : env_(env),
+    : Engine(env, "daric", 200),
       params_(std::move(params)),
       a_(PartyId::kA, params_, env,
          mint_funding_source(env, params_.cash_a, funding_keypair(params_, PartyId::kA)),
@@ -362,12 +331,6 @@ DaricChannel::DaricChannel(sim::Environment& env, channel::ChannelParams params)
          mint_funding_source(env, params_.cash_b, funding_keypair(params_, PartyId::kB)),
          funding_keypair(params_, PartyId::kB)),
       tcache_(params_, a_.pub_own_, b_.pub_own_) {
-  auto& m = env_.metrics();
-  retries_counter_ = &m.counter("daric.msg.retries");
-  opened_counter_ = &m.counter("daric.channels_opened");
-  updates_counter_ = &m.counter("daric.updates");
-  disputes_counter_ = &m.counter("daric.disputes");
-  weight_hist_ = &m.histogram("daric.onchain_weight");
   params_.validate(env_.delta());
   hooks_.add([this] { a_.on_round(); });
   hooks_.add([this] { b_.on_round(); });
@@ -379,7 +342,7 @@ bool DaricChannel::create() {
 
   // Step 1: createInfo in both directions (one message round). A timeout
   // before the funding transaction exists simply abandons the channel.
-  if (send_reliable(a_, "createInfo") == 0) return false;
+  if (send_reliable(PartyId::kA, "createInfo") == 0) return false;
   a_.pub_other_ = b_.pub_own_;
   b_.pub_other_ = a_.pub_own_;
 
@@ -394,7 +357,7 @@ bool DaricChannel::create() {
   tx::SighashCache sh_split(split0), sh_cm_a(commits.body_a), sh_cm_b(commits.body_b);
 
   // Step 3: createCom — exchange split (ANYPREVOUT) and cross-commit sigs.
-  if (send_reliable(a_, "createCom") == 0) return false;
+  if (send_reliable(PartyId::kA, "createCom") == 0) return false;
   const Bytes sp_sig_a =
       tx::sign_input(split0, 0, a_.keys_.sp, scheme, SighashFlag::kAllAnyPrevOut, &sh_split);
   const Bytes sp_sig_b =
@@ -422,7 +385,7 @@ bool DaricChannel::create() {
     return false;
 
   // Step 5: exchange funding signatures and post TX_FU.
-  if (send_reliable(a_, "createFund") == 0) return false;
+  if (send_reliable(PartyId::kA, "createFund") == 0) return false;
   tx::Transaction tx_fu = fund.body;
   // Each input is a P2WPKH funding source: input 0 = A's, input 1 = B's.
   // The ALL-family digest is input-index independent, so one cache serves
@@ -473,8 +436,8 @@ bool DaricChannel::create() {
   archive_a_.push_back(a_.cm_own_);
   archive_b_.push_back(b_.cm_own_);
   archive_splits_.push_back({split0, sp_sig_a, sp_sig_b, commits.script_a, commits.script_b});
-  opened_counter_->inc();
-  observe_weight(weight_hist_, tx_fu);
+  obs_.opened->inc();
+  observe_weight(obs_.weight, tx_fu);
   if (env_.tracer().enabled())
     env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "daric", params_.id, {},
                        {obs::Attr::s("phase", "open"), obs::Attr::i("sn", 0)});
@@ -531,7 +494,7 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   // Message 1: updateReq (P → Q). No receiver state is mutated yet, so a
   // duplicate delivery is a no-op; a timeout aborts to force-close.
   if (abort_by(p, q, 1)) return false;
-  if (send_or_close(p, "updateReq") == 0) return false;
+  if (send_or_close(p.id(), "updateReq") == 0) return false;
 
   // Q builds the new bodies and its ANYPREVOUT split signature. The bodies
   // are patched template skeletons; the references stay valid (and
@@ -575,7 +538,7 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   // Message 2: updateInfo (Q → P).
   if (abort_by(q, p, 2)) return false;
   const Bytes sp_sig_q = timed_sign(split_body, q.keys_.sp, SighashFlag::kAllAnyPrevOut, &sh_split);
-  const int n2 = send_or_close(q, "updateInfo");
+  const int n2 = send_or_close(q.id(), "updateInfo");
   if (n2 == 0) return false;
 
   // P queues Q's split signature and stores Γ'^P (flag := 2); re-applied per
@@ -603,7 +566,7 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   // Message 3: updateComP (P → Q) with σ̃^P_SP and σ^P on [TX^Q_CM,i+1].
   if (abort_by(p, q, 3)) return false;
   const Bytes cm_q_sig_p = timed_sign(body_q, p.keys_.main, SighashFlag::kAll, &sh_q);
-  const int n3 = send_or_close(p, "updateComP");
+  const int n3 = send_or_close(p.id(), "updateComP");
   if (n3 == 0) return false;
 
   if (!queue_wire(batch_q, sh_split, SighashFlag::kAllAnyPrevOut, q.peer_tables().sp, sp_sig_p,
@@ -634,7 +597,7 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   // Message 4: updateComQ (Q → P) with σ^Q on [TX^P_CM,i+1].
   if (abort_by(q, p, 4)) return false;
   const Bytes cm_p_sig_q = timed_sign(body_p, q.keys_.main, SighashFlag::kAll, &sh_p);
-  const int n4 = send_or_close(q, "updateComQ");
+  const int n4 = send_or_close(q.id(), "updateComQ");
   if (n4 == 0) return false;
 
   // P's flush point: past this message P reveals its revocation of state i,
@@ -679,7 +642,7 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   if (p.durability_) p.durability_->persist(p);
   if (abort_by(p, q, 5)) return false;
   const Bytes rv_q_sig_p = timed_sign(rv_q, rv_sign_key(p, q), rv_flag, &sh_rv_q);
-  const int n5 = send_or_close(p, "revokeP");
+  const int n5 = send_or_close(p.id(), "revokeP");
   if (n5 == 0) return false;
 
   // Q's flush point: promotion Γ' → Γ (and message 6, Q's own revocation)
@@ -715,7 +678,7 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   if (q.durability_) q.durability_->persist(q);
   if (abort_by(q, p, 6)) return false;
   const Bytes rv_p_sig_q = timed_sign(rv_p, rv_sign_key(q, p), rv_flag, &sh_rv_p);
-  const int n6 = send_or_close(q, "revokeQ");
+  const int n6 = send_or_close(q.id(), "revokeQ");
   if (n6 == 0) return false;
 
   // P's batch flushed at message 4, so Γ'^P is fully verified: on failure
@@ -732,7 +695,7 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
   archive_b_.push_back(b_.cm_own_);
   archive_splits_.push_back(
       {split_body, split_sig_a, split_sig_b, commits.script_a, commits.script_b});
-  updates_counter_->inc();
+  obs_.updates->inc();
   if (env_.tracer().enabled())
     env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "daric", params_.id,
                        sim::party_name(proposer),
@@ -750,7 +713,7 @@ bool DaricChannel::cooperative_close(PartyId initiator) {
   tx::Transaction fin = gen_fin_split(p.fund_op_, p.st_, a_.pub_own_, b_.pub_own_);
   const tx::SighashCache sh_fin(fin);
   const Bytes sig_p = tx::sign_input(fin, 0, p.keys_.main, scheme, SighashFlag::kAll, &sh_fin);
-  if (send_or_close(p, "closeP") == 0) return false;
+  if (send_or_close(p.id(), "closeP") == 0) return false;
 
   if (q.behavior.refuse_close) {
     p.force_close();
@@ -758,7 +721,7 @@ bool DaricChannel::cooperative_close(PartyId initiator) {
     return false;
   }
   const Bytes sig_q = tx::sign_input(fin, 0, q.keys_.main, scheme, SighashFlag::kAll, &sh_fin);
-  if (send_or_close(q, "closeQ") == 0) return false;
+  if (send_or_close(q.id(), "closeQ") == 0) return false;
 
   if (!verify_wire_cached(sh_fin, SighashFlag::kAll, p.peer_tables().main, sig_q, scheme)) {
     p.force_close();
@@ -770,7 +733,7 @@ bool DaricChannel::cooperative_close(PartyId initiator) {
   attach_funding_witness(fin, 0, p.fund_script_, sig_a, sig_b);
   a_.expected_coop_txid_ = fin.txid();
   b_.expected_coop_txid_ = fin.txid();
-  observe_weight(weight_hist_, fin);
+  observe_weight(obs_.weight, fin);
   if (env_.tracer().enabled())
     env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "daric", params_.id,
                        sim::party_name(initiator), {obs::Attr::s("phase", "coop_close_posted")});
@@ -781,8 +744,8 @@ bool DaricChannel::cooperative_close(PartyId initiator) {
 void DaricChannel::publish_old_commit(PartyId who, std::uint32_t state) {
   const auto& archive = who == PartyId::kA ? archive_a_ : archive_b_;
   if (state >= archive.size()) throw std::out_of_range("no archived commit for that state");
-  disputes_counter_->inc();
-  observe_weight(weight_hist_, archive[state]);
+  obs_.disputes->inc();
+  observe_weight(obs_.weight, archive[state]);
   if (env_.tracer().enabled())
     env_.tracer().emit(env_.now(), obs::EventKind::kForceClose, "daric", params_.id,
                        sim::party_name(who),
@@ -804,12 +767,9 @@ void DaricChannel::publish_old_split(PartyId who, std::uint32_t state, Round del
   env_.ledger().post_with_delay(bound, delay);
 }
 
-bool DaricChannel::run_until_closed(Round max_rounds) {
-  for (Round r = 0; r < max_rounds; ++r) {
-    if (!a_.open_ && !b_.open_) return true;
-    env_.advance_round();
-  }
-  return !a_.open_ && !b_.open_;
+channel::Verdict DaricChannel::verdict() const {
+  if (!closed()) return channel::Verdict::kOpen;
+  return channel::verdict_of(b_.outcome_ == CloseOutcome::kPunished ? b_.outcome_ : a_.outcome_);
 }
 
 // ---------------------------------------------------------------------------

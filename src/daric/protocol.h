@@ -11,8 +11,7 @@
 
 #include <optional>
 
-#include "src/channel/params.h"
-#include "src/channel/state.h"
+#include "src/channel/engine.h"
 #include "src/crypto/point.h"
 #include "src/daric/builders.h"
 #include "src/daric/skeleton.h"
@@ -215,23 +214,29 @@ class DaricParty {
 
 /// Orchestrates the two parties over the environment. Each protocol message
 /// costs one network round (F_GDC's 1-round delivery).
-class DaricChannel {
+class DaricChannel final : public channel::Engine {
  public:
   DaricChannel(sim::Environment& env, channel::ChannelParams params);
 
   /// Create phase (6 steps). Returns true once TX_FU confirmed.
-  bool create();
+  bool create() override;
 
   /// Update phase: P proposes the next state. Returns true on UPDATED at
   /// both sides; false if an injected abort triggered ForceClose.
-  bool update(const channel::StateVec& next, sim::PartyId proposer = sim::PartyId::kA);
+  bool update(const channel::StateVec& next, sim::PartyId proposer);
+  bool update(const channel::StateVec& next) override { return update(next, sim::PartyId::kA); }
 
   /// Collaborative close via the modified split TX_SP̄.
-  bool cooperative_close(sim::PartyId initiator = sim::PartyId::kA);
+  bool cooperative_close(sim::PartyId initiator = sim::PartyId::kA) override;
+  /// ForceClose^P(id) of `who`.
+  void force_close(sim::PartyId who) override { party(who).force_close(); }
 
   /// Fraud injection: `who` publishes its own commit of old state `state`.
   /// Requires that state to have existed; uses the test-harness archive.
   void publish_old_commit(sim::PartyId who, std::uint32_t state);
+  void publish_revoked(sim::PartyId who, std::uint32_t state) override {
+    publish_old_commit(who, state);
+  }
 
   /// Attacker endgame: binds the archived split of `state` to `who`'s
   /// already-published commit of that state and posts it with `delay`.
@@ -239,12 +244,25 @@ class DaricChannel {
   /// cheater sweeps when every monitor stays dark past T − Δ.
   void publish_old_split(sim::PartyId who, std::uint32_t state, Round delay = 1);
 
-  /// Runs rounds until both parties consider the channel closed (or limit).
-  bool run_until_closed(Round max_rounds = 200);
+  /// Both parties consider the channel closed.
+  bool closed() const override { return !a_.open_ && !b_.open_; }
+  /// Once both closed: punished if either party saw a punishment, else A's
+  /// outcome.
+  channel::Verdict verdict() const override;
 
   DaricParty& party(sim::PartyId p) { return p == sim::PartyId::kA ? a_ : b_; }
-  const channel::ChannelParams& params() const { return params_; }
+  const DaricParty& party(sim::PartyId p) const { return p == sim::PartyId::kA ? a_ : b_; }
+  const channel::ChannelParams& params() const override { return params_; }
   tx::OutPoint funding_outpoint() const { return a_.fund_op_; }
+  BytesView payout_pk(sim::PartyId who) const override { return party(who).pub().main; }
+  std::uint32_t state_number() const override { return a_.sn_; }
+  std::size_t party_storage_bytes(sim::PartyId who) const override {
+    return party(who).storage_bytes();
+  }
+  void set_monitors_online(bool a, bool b) override {
+    a_.set_online(a);
+    b_.set_online(b);
+  }
 
   /// Test-harness archive of every signed own-commit (what a *dishonest*
   /// party would have squirrelled away). Not counted in storage_bytes().
@@ -253,22 +271,7 @@ class DaricChannel {
   }
 
  private:
-  /// One delivery attempt per round; re-sends on drop up to the retry
-  /// budget. Returns delivered copies (0 = the abort timeout fired).
-  int send_reliable(DaricParty& sender, const char* type);
-  /// send_reliable, then abort-to-force-close by `sender` on timeout.
-  /// Returns 0 after closing the channel, else the delivered copy count.
-  int send_or_close(DaricParty& sender, const char* type);
-
-  sim::Environment& env_;
   channel::ChannelParams params_;
-
-  // Cached registry handles for the channel-level paths (update/create).
-  obs::Counter* retries_counter_;
-  obs::Counter* opened_counter_;
-  obs::Counter* updates_counter_;
-  obs::Counter* disputes_counter_;
-  obs::Histogram* weight_hist_;
 
   DaricParty a_, b_;
   /// Per-channel template skeletons (declared after a_/b_: initialized from

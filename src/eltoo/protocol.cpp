@@ -17,7 +17,6 @@ using sim::PartyId;
 
 namespace {
 std::size_t idx(PartyId p) { return p == PartyId::kA ? 0 : 1; }
-constexpr int kMaxSendAttempts = 3;
 
 void observe_weight(obs::Histogram* h, const tx::Transaction& t) {
   h->observe(static_cast<std::int64_t>(tx::measure(t).weight()));
@@ -35,24 +34,8 @@ void emit_closed(sim::Environment& env, obs::Counter* closed,
 
 }  // namespace
 
-int EltooChannel::send_reliable(PartyId from, const char* type) {
-  for (int attempt = 0; attempt < kMaxSendAttempts; ++attempt) {
-    if (attempt > 0) {
-      obs_.retries->inc();
-      if (env_.tracer().enabled())
-        env_.tracer().emit(env_.now(), obs::EventKind::kMsgRetry, "eltoo", params_.id,
-                           sim::party_name(from),
-                           {obs::Attr::s("type", type), obs::Attr::i("attempt", attempt)});
-    }
-    const auto d = env_.transmit(from, type);
-    if (d.copies > 0) return d.copies;
-  }
-  return 0;
-}
-
 EltooChannel::EltooChannel(sim::Environment& env, channel::ChannelParams params)
-    : env_(env), params_(std::move(params)),
-      obs_(obs::EngineHandles::bind(env.metrics(), "eltoo", "override.posted")) {
+    : Engine(env, "eltoo", 400, "override.posted"), params_(std::move(params)) {
   params_.validate(env_.delta());
   payout_a_ = crypto::derive_keypair(params_.id + "/eltoo/A/main").pk.compressed();
   payout_b_ = crypto::derive_keypair(params_.id + "/eltoo/B/main").pk.compressed();
@@ -145,14 +128,8 @@ bool EltooChannel::update(const channel::StateVec& next) {
     throw std::invalid_argument("state must preserve capacity");
   if (next.to_a <= 0 || next.to_b <= 0)
     throw std::invalid_argument("both balances must stay positive");
-  auto send_or_close = [&](PartyId from, const char* type) {
-    if (send_reliable(from, type) > 0) return true;
-    force_close(from);
-    run_until_closed();
-    return false;
-  };
-  if (!send_or_close(PartyId::kA, "eltoo/update-sigs-1")) return false;
-  if (!send_or_close(PartyId::kB, "eltoo/update-sigs-2")) return false;
+  if (send_or_close(PartyId::kA, "eltoo/update-sigs-1") == 0) return false;
+  if (send_or_close(PartyId::kB, "eltoo/update-sigs-2") == 0) return false;
   sign_state(sn_ + 1, next);
   ++sn_;
   st_ = next;
@@ -164,7 +141,7 @@ bool EltooChannel::update(const channel::StateVec& next) {
   return true;
 }
 
-bool EltooChannel::cooperative_close() {
+bool EltooChannel::cooperative_close(PartyId) {
   if (!open_) throw std::logic_error("channel not open");
   const auto& scheme = env_.scheme();
   tx::Transaction close;
@@ -175,11 +152,7 @@ bool EltooChannel::cooperative_close() {
   const Bytes sa = tx::sign_input(close, 0, upd_a_, scheme, SighashFlag::kAll, &sh_close);
   const Bytes sb = tx::sign_input(close, 0, upd_b_, scheme, SighashFlag::kAll, &sh_close);
   daricch::attach_funding_witness(close, 0, fund_script_, sa, sb);
-  if (send_reliable(PartyId::kA, "eltoo/close") == 0) {
-    force_close(PartyId::kA);
-    run_until_closed();
-    return false;
-  }
+  if (send_or_close(PartyId::kA, "eltoo/close") == 0) return false;
   observe_weight(obs_.weight, close);
   if (env_.tracer().enabled())
     env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "eltoo", params_.id, {},
@@ -260,6 +233,7 @@ void EltooChannel::on_round() {
     if (!first) return;
     if (expected_close_txid_ && *first == *expected_close_txid_) {
       settled_state_ = sn_;
+      verdict_ = channel::Verdict::kCooperative;
       open_ = false;
       emit_closed(env_, obs_.closed, params_, *settled_state_, "cooperative");
       return;
@@ -277,6 +251,8 @@ void EltooChannel::on_round() {
     if (spender.outputs.size() != 1) {
       // A settlement (two or more outputs) finalized the channel.
       settled_state_ = cur_state;
+      verdict_ = overrode_ && cur_state == sn_ ? channel::Verdict::kOverridden
+                                                : channel::Verdict::kForceClosed;
       open_ = false;
       emit_closed(env_, obs_.closed, params_, *settled_state_,
                   cur_state < sn_ ? "stale-settled" : "settled");
@@ -310,6 +286,7 @@ void EltooChannel::on_round() {
                             obs::Attr::i("latest_sn", static_cast<std::int64_t>(sn_))});
       post_update_bound(sn_, {*holder, 0}, archive_.at(cur_state).out_script, false);
       reacted_for_tip_ = true;
+      overrode_ = true;
     }
     return;
   }
@@ -330,14 +307,6 @@ void EltooChannel::on_round() {
     ledger.post(t);
     settlement_posted_ = true;
   }
-}
-
-bool EltooChannel::run_until_closed(Round max_rounds) {
-  for (Round r = 0; r < max_rounds; ++r) {
-    if (settled_state_) return true;
-    env_.advance_round();
-  }
-  return settled_state_.has_value();
 }
 
 std::size_t EltooChannel::party_storage_bytes(PartyId who) const {

@@ -5,28 +5,28 @@
 
 #include <optional>
 
-#include "src/channel/params.h"
-#include "src/channel/state.h"
+#include "src/channel/engine.h"
 #include "src/eltoo/scripts.h"
-#include "src/obs/handles.h"
-#include "src/sim/environment.h"
 #include "src/sim/party.h"
 #include "src/tx/transaction.h"
 
 namespace daric::eltoo {
 
-class EltooChannel {
+class EltooChannel final : public channel::Engine {
  public:
   EltooChannel(sim::Environment& env, channel::ChannelParams params);
 
-  bool create();
-  bool update(const channel::StateVec& next);  // two message rounds
-  bool cooperative_close();
+  bool create() override;
+  bool update(const channel::StateVec& next) override;  // two message rounds
+  bool cooperative_close(sim::PartyId initiator = sim::PartyId::kA) override;
   /// Honest unilateral close: post latest update, settle after T.
-  void force_close(sim::PartyId who);
+  void force_close(sim::PartyId who) override;
   /// Fraud: `who` publishes update transaction of old state `state`, bound
   /// to the funding output (or to whatever currently holds the funds).
   void publish_old_update(sim::PartyId who, std::uint32_t state);
+  void publish_revoked(sim::PartyId who, std::uint32_t state) override {
+    publish_old_update(who, state);
+  }
   /// The attacker's endgame: bind & post the archived settlement for
   /// `state` once its CSV matured (only meaningful if nobody reacted).
   void attacker_settle(sim::PartyId who, std::uint32_t state);
@@ -34,19 +34,22 @@ class EltooChannel {
   /// Whether a party's monitor overrides stale updates (p in Sec. 6.2).
   void set_reacting(sim::PartyId who, bool reacts);
 
-  /// Downtime control for the chaos drills: while offline the channel's
-  /// chain monitor skips rounds entirely.
-  void set_monitor_online(bool v) { monitor_online_ = v; }
-  bool monitor_online() const { return monitor_online_; }
+  /// While offline the channel's chain monitor skips rounds entirely.
+  void set_monitors_online(bool a, bool b) override { monitor_online_ = a && b; }
 
-  bool run_until_closed(Round max_rounds = 400);
-  bool closed() const { return settled_state_.has_value(); }
+  bool closed() const override { return settled_state_.has_value(); }
+  /// Cooperative, force-closed (also when a stale state settled) or — once
+  /// a stale update was overridden and the latest state settled — overridden.
+  channel::Verdict verdict() const override { return verdict_; }
   /// State number whose settlement (or cooperative close) finalized.
   std::optional<std::uint32_t> settled_state() const { return settled_state_; }
 
-  std::uint32_t state_number() const { return sn_; }
-  std::size_t party_storage_bytes(sim::PartyId who) const;
-  const channel::ChannelParams& params() const { return params_; }
+  std::uint32_t state_number() const override { return sn_; }
+  std::size_t party_storage_bytes(sim::PartyId who) const override;
+  BytesView payout_pk(sim::PartyId who) const override {
+    return who == sim::PartyId::kA ? payout_a_ : payout_b_;
+  }
+  const channel::ChannelParams& params() const override { return params_; }
   /// Latest update/settlement bodies (for size measurements).
   const tx::Transaction& latest_update_body() const { return upd_body_; }
   const tx::Transaction& latest_settlement_body() const { return set_body_; }
@@ -60,14 +63,11 @@ class EltooChannel {
   script::Script update_output_script(const PerStateKeys& ks, std::uint32_t state) const;
   tx::Transaction build_settlement_body(const channel::StateVec& st) const;
   void sign_state(std::uint32_t state, const channel::StateVec& st);
-  int send_reliable(sim::PartyId from, const char* type);
   void on_round();
   void post_update_bound(std::uint32_t state, const tx::OutPoint& op,
                          const script::Script& prev_script, bool spending_funding);
 
-  sim::Environment& env_;
   channel::ChannelParams params_;
-  obs::EngineHandles obs_;  // bound once in the constructor
   // Payout keys: the `<id>/eltoo/X/main` wallet keys.
   Bytes payout_a_, payout_b_;
   crypto::KeyPair upd_a_, upd_b_;
@@ -104,6 +104,8 @@ class EltooChannel {
   bool reacted_for_tip_ = false;
   std::optional<std::uint32_t> pending_settle_state_;
   std::optional<std::uint32_t> settled_state_;
+  bool overrode_ = false;  // a stale update was overridden
+  channel::Verdict verdict_ = channel::Verdict::kOpen;
   std::optional<Hash256> expected_close_txid_;
   sim::RoundHooks hooks_{env_};
 };

@@ -17,9 +17,7 @@ using script::SighashFlag;
 using sim::PartyId;
 
 FppwChannel::FppwChannel(sim::Environment& env, channel::ChannelParams params)
-    : env_(env),
-      params_(std::move(params)),
-      obs_(obs::EngineHandles::bind(env.metrics(), "fppw")) {
+    : Engine(env, "fppw", 400), params_(std::move(params)) {
   params_.validate(env_.delta());
   if (!env_.scheme().supports_adaptor())
     throw std::invalid_argument("FPPW needs adaptor signatures (publisher identification)");
@@ -112,13 +110,15 @@ std::optional<std::uint32_t> FppwChannel::state_of(const Hash256& commit_txid) c
 
 bool FppwChannel::create() {
   fund_script_ = script::multisig_2of2(main_a_.pk.compressed(), main_b_.pk.compressed());
-  // The funding holds channel capacity plus the tower's collateral
-  // (escrowed at setup; the tower recovers it through every exit path).
-  fund_op_ = env_.ledger().mint(params_.capacity() + collateral(),
-                                tx::Condition::p2wsh(fund_script_));
   st_ = {params_.cash_a, params_.cash_b, {}};
   sn_ = 0;
-  env_.message_round(PartyId::kA, "fppw/create");
+  // Mint only once the opening handshake got through, so an aborted create
+  // leaves no funds stranded in the 2-of-2. The funding holds channel
+  // capacity plus the tower's collateral (escrowed at setup; the tower
+  // recovers it through every exit path).
+  if (send_reliable(PartyId::kA, "fppw/create") == 0) return false;
+  fund_op_ = env_.ledger().mint(params_.capacity() + collateral(),
+                                tx::Condition::p2wsh(fund_script_));
   sign_state(0, st_);
   open_ = true;
   obs_.opened->inc();
@@ -132,9 +132,11 @@ bool FppwChannel::update(const channel::StateVec& next) {
     throw std::invalid_argument("state must preserve capacity");
   if (next.to_a <= 0 || next.to_b <= 0)
     throw std::invalid_argument("both balances must stay positive");
-  env_.message_round(PartyId::kA, "fppw/presig");
-  env_.message_round(PartyId::kB, "fppw/split-sig");
-  env_.message_round(PartyId::kA, "fppw/revoke");
+  // A peer silent past the retry budget means the sender aborts to its
+  // newest fully-signed commit.
+  if (send_or_close(PartyId::kA, "fppw/presig") == 0) return false;
+  if (send_or_close(PartyId::kB, "fppw/split-sig") == 0) return false;
+  if (send_or_close(PartyId::kA, "fppw/revoke") == 0) return false;
   // Revoke the current state: both revocation variants go to the tower.
   const std::uint32_t old = sn_;
   tower_revocations_.push_back({archive_.at(old).commit_txid, build_revocation(old, PartyId::kA)});
@@ -164,7 +166,7 @@ tx::Transaction FppwChannel::assemble_commit(PartyId publisher, std::uint32_t st
   return t;
 }
 
-bool FppwChannel::cooperative_close() {
+bool FppwChannel::cooperative_close(PartyId) {
   if (!open_) throw std::logic_error("channel not open");
   const auto& scheme = env_.scheme();
   tx::Transaction close;
@@ -176,7 +178,7 @@ bool FppwChannel::cooperative_close() {
   const Bytes sa = tx::sign_input(close, 0, main_a_, scheme, SighashFlag::kAll, &sh_close);
   const Bytes sb = tx::sign_input(close, 0, main_b_, scheme, SighashFlag::kAll, &sh_close);
   daricch::attach_funding_witness(close, 0, fund_script_, sa, sb);
-  env_.message_round(PartyId::kA, "fppw/close");
+  if (send_or_close(PartyId::kA, "fppw/close") == 0) return false;
   obs_.weight->observe(static_cast<std::int64_t>(tx::measure(close).weight()));
   env_.ledger().post(close);
   expected_close_txid_ = close.txid();
@@ -207,6 +209,7 @@ void FppwChannel::note_closed(FppwOutcome outcome) {
 
 void FppwChannel::on_round() {
   if (!open_ || outcome_ != FppwOutcome::kNone) return;
+  if (!monitor_online_) return;
   auto& ledger = env_.ledger();
   const auto& scheme = env_.scheme();
 
@@ -334,14 +337,6 @@ void FppwChannel::on_round() {
   const Hash256 split_txid = split.txid();
   pending_split_ =
       PendingSplit{std::move(split), split_txid, (conf ? *conf : env_.now()) + params_.t_punish};
-}
-
-bool FppwChannel::run_until_closed(Round max_rounds) {
-  for (Round r = 0; r < max_rounds; ++r) {
-    if (outcome_ != FppwOutcome::kNone) return true;
-    env_.advance_round();
-  }
-  return outcome_ != FppwOutcome::kNone;
 }
 
 std::size_t FppwChannel::party_storage_bytes(PartyId who) const {

@@ -20,11 +20,8 @@
 
 #include <optional>
 
-#include "src/channel/params.h"
-#include "src/channel/state.h"
+#include "src/channel/engine.h"
 #include "src/crypto/adaptor.h"
-#include "src/obs/handles.h"
-#include "src/sim/environment.h"
 #include "src/sim/party.h"
 #include "src/tx/transaction.h"
 
@@ -38,29 +35,39 @@ enum class FppwOutcome {
   kCompensated,       // tower failed; victim took the collateral
 };
 
-class FppwChannel {
+class FppwChannel final : public channel::Engine {
  public:
   FppwChannel(sim::Environment& env, channel::ChannelParams params);
 
-  bool create();
-  bool update(const channel::StateVec& next);
-  bool cooperative_close();
-  void force_close(sim::PartyId who);
+  bool create() override;
+  bool update(const channel::StateVec& next) override;
+  bool cooperative_close(sim::PartyId initiator = sim::PartyId::kA) override;
+  void force_close(sim::PartyId who) override;
   void publish_old_commit(sim::PartyId who, std::uint32_t state);
+  void publish_revoked(sim::PartyId who, std::uint32_t state) override {
+    publish_old_commit(who, state);
+  }
 
   /// Take the watchtower offline (the fairness scenario).
   void set_tower_online(bool online) { tower_online_ = online; }
+  /// While offline the channel's chain monitor (tower reaction included)
+  /// skips rounds entirely.
+  void set_monitors_online(bool a, bool b) override { monitor_online_ = a && b; }
 
-  bool run_until_closed(Round max_rounds = 400);
   FppwOutcome outcome() const { return outcome_; }
-  std::uint32_t state_number() const { return sn_; }
+  bool closed() const override { return outcome_ != FppwOutcome::kNone; }
+  channel::Verdict verdict() const override { return channel::verdict_of(outcome_); }
+  std::uint32_t state_number() const override { return sn_; }
+  BytesView payout_pk(sim::PartyId who) const override {
+    return who == sim::PartyId::kA ? payout_a_ : payout_b_;
+  }
 
-  std::size_t party_storage_bytes(sim::PartyId who) const;   // O(n)
+  std::size_t party_storage_bytes(sim::PartyId who) const override;  // O(n)
   std::size_t tower_storage_bytes() const;                   // O(n)
   const tx::Transaction& latest_commit_body() const { return commit_body_; }
   tx::OutPoint funding_outpoint() const { return fund_op_; }
   Amount collateral() const { return params_.capacity(); }
-  const channel::ChannelParams& params() const { return params_; }
+  const channel::ChannelParams& params() const override { return params_; }
 
  private:
   struct StateSecrets {
@@ -75,9 +82,7 @@ class FppwChannel {
   /// Records the outcome and bumps the closed counter.
   void note_closed(FppwOutcome outcome);
 
-  sim::Environment& env_;
   channel::ChannelParams params_;
-  obs::EngineHandles obs_;  // bound once in the constructor
   crypto::KeyPair main_a_, main_b_;             // funding / split keys
   crypto::KeyPair rev_a_, rev_b_, rev_w_;       // revocation (3-of-3)
   crypto::KeyPair pen_a_, pen_b_;               // penalty keys
@@ -89,6 +94,7 @@ class FppwChannel {
 
   bool open_ = false;
   bool tower_online_ = true;
+  bool monitor_online_ = true;
   std::uint32_t sn_ = 0;
   channel::StateVec st_;
   tx::OutPoint fund_op_;

@@ -17,7 +17,6 @@ using script::SighashFlag;
 using sim::PartyId;
 
 namespace {
-constexpr int kMaxSendAttempts = 3;
 
 const char* gc_outcome_name(GcOutcome o) {
   switch (o) {
@@ -43,25 +42,8 @@ void GeneralizedChannel::note_closed(GcOutcome outcome) {
                         obs::Attr::s("outcome", gc_outcome_name(outcome))});
 }
 
-int GeneralizedChannel::send_reliable(PartyId from, const char* type) {
-  for (int attempt = 0; attempt < kMaxSendAttempts; ++attempt) {
-    if (attempt > 0) {
-      obs_.retries->inc();
-      if (env_.tracer().enabled())
-        env_.tracer().emit(env_.now(), obs::EventKind::kMsgRetry, "generalized", params_.id,
-                           sim::party_name(from),
-                           {obs::Attr::s("type", type), obs::Attr::i("attempt", attempt)});
-    }
-    const auto d = env_.transmit(from, type);
-    if (d.copies > 0) return d.copies;
-  }
-  return 0;
-}
-
 GeneralizedChannel::GeneralizedChannel(sim::Environment& env, channel::ChannelParams params)
-    : env_(env),
-      params_(std::move(params)),
-      obs_(obs::EngineHandles::bind(env.metrics(), "generalized")) {
+    : Engine(env, "generalized", 400), params_(std::move(params)) {
   params_.validate(env_.delta());
   if (!env_.scheme().supports_adaptor())
     throw std::invalid_argument(
@@ -160,14 +142,8 @@ bool GeneralizedChannel::update(const channel::StateVec& next) {
     throw std::invalid_argument("state must preserve capacity");
   if (next.to_a <= 0 || next.to_b <= 0)
     throw std::invalid_argument("both balances must stay positive");
-  auto send_or_close = [&](PartyId from, const char* type) {
-    if (send_reliable(from, type) > 0) return true;
-    force_close(from);
-    run_until_closed();
-    return false;
-  };
-  if (!send_or_close(PartyId::kA, "gc/presig")) return false;
-  if (!send_or_close(PartyId::kB, "gc/split-sig")) return false;
+  if (send_or_close(PartyId::kA, "gc/presig") == 0) return false;
+  if (send_or_close(PartyId::kB, "gc/split-sig") == 0) return false;
   sign_state(sn_ + 1, next);
   if (send_reliable(PartyId::kA, "gc/revoke") == 0) {
     // Both sides fully signed state sn_+1 and nothing was revoked yet; the
@@ -211,7 +187,7 @@ tx::Transaction GeneralizedChannel::assemble_commit(PartyId publisher, std::uint
   return t;
 }
 
-bool GeneralizedChannel::cooperative_close() {
+bool GeneralizedChannel::cooperative_close(PartyId) {
   if (!open_) throw std::logic_error("channel not open");
   const auto& scheme = env_.scheme();
   tx::Transaction close;
@@ -222,11 +198,7 @@ bool GeneralizedChannel::cooperative_close() {
   const Bytes sa = tx::sign_input(close, 0, main_a_, scheme, SighashFlag::kAll, &sh_close);
   const Bytes sb = tx::sign_input(close, 0, main_b_, scheme, SighashFlag::kAll, &sh_close);
   daricch::attach_funding_witness(close, 0, fund_script_, sa, sb);
-  if (send_reliable(PartyId::kA, "gc/close") == 0) {
-    force_close(PartyId::kA);
-    run_until_closed();
-    return false;
-  }
+  if (send_or_close(PartyId::kA, "gc/close") == 0) return false;
   observe_weight(obs_.weight, close);
   if (env_.tracer().enabled())
     env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "generalized", params_.id, {},
@@ -380,14 +352,6 @@ void GeneralizedChannel::on_round() {
   };
 
   if (!try_punish(PartyId::kA)) try_punish(PartyId::kB);
-}
-
-bool GeneralizedChannel::run_until_closed(Round max_rounds) {
-  for (Round r = 0; r < max_rounds; ++r) {
-    if (outcome_ != GcOutcome::kNone) return true;
-    env_.advance_round();
-  }
-  return outcome_ != GcOutcome::kNone;
 }
 
 std::size_t GeneralizedChannel::party_storage_bytes(PartyId who) const {

@@ -17,7 +17,6 @@ using script::SighashFlag;
 using sim::PartyId;
 
 namespace {
-constexpr int kMaxSendAttempts = 3;
 
 const char* ln_outcome_name(LnOutcome o) {
   switch (o) {
@@ -43,24 +42,8 @@ void LightningChannel::note_closed(LnOutcome outcome) {
                         obs::Attr::s("outcome", ln_outcome_name(outcome))});
 }
 
-int LightningChannel::send_reliable(PartyId from, const char* type) {
-  for (int attempt = 0; attempt < kMaxSendAttempts; ++attempt) {
-    if (attempt > 0) {
-      obs_.retries->inc();
-      if (env_.tracer().enabled())
-        env_.tracer().emit(env_.now(), obs::EventKind::kMsgRetry, "lightning", params_.id,
-                           sim::party_name(from),
-                           {obs::Attr::s("type", type), obs::Attr::i("attempt", attempt)});
-    }
-    const auto d = env_.transmit(from, type);
-    if (d.copies > 0) return d.copies;
-  }
-  return 0;
-}
-
 LightningChannel::LightningChannel(sim::Environment& env, channel::ChannelParams params)
-    : env_(env), params_(std::move(params)),
-      obs_(obs::EngineHandles::bind(env.metrics(), "lightning")) {
+    : Engine(env, "lightning", 400), params_(std::move(params)) {
   params_.validate(env_.delta());
   main_a_ = crypto::derive_keypair(params_.id + "/ln/A/main");
   main_b_ = crypto::derive_keypair(params_.id + "/ln/B/main");
@@ -162,16 +145,10 @@ bool LightningChannel::update(const channel::StateVec& next) {
   // Two rounds to cross-sign the new commitments, one to exchange the old
   // states' revocation secrets. A peer silent past the retry budget means
   // the sender aborts to its newest fully-signed commit.
-  auto send_or_close = [&](PartyId from, const char* type) {
-    if (send_reliable(from, type) > 0) return true;
-    force_close(from);
-    run_until_closed();
-    return false;
-  };
-  if (!send_or_close(PartyId::kA, "ln/commit-sig")) return false;
-  if (!send_or_close(PartyId::kB, "ln/commit-sig")) return false;
+  if (send_or_close(PartyId::kA, "ln/commit-sig") == 0) return false;
+  if (send_or_close(PartyId::kB, "ln/commit-sig") == 0) return false;
   sign_state(sn_ + 1, next);
-  if (!send_or_close(PartyId::kA, "ln/revoke")) return false;
+  if (send_or_close(PartyId::kA, "ln/revoke") == 0) return false;
   // Reveal the state-sn_ secrets; the counterparty stores them forever.
   secrets_of_a_.push_back(record(PartyId::kA, sn_).rev.sk.to_be_bytes());
   secrets_of_b_.push_back(record(PartyId::kB, sn_).rev.sk.to_be_bytes());
@@ -185,7 +162,7 @@ bool LightningChannel::update(const channel::StateVec& next) {
   return true;
 }
 
-bool LightningChannel::cooperative_close() {
+bool LightningChannel::cooperative_close(PartyId) {
   if (!open_) throw std::logic_error("channel not open");
   const auto& scheme = env_.scheme();
   tx::Transaction close;
@@ -196,11 +173,7 @@ bool LightningChannel::cooperative_close() {
   const Bytes sa = tx::sign_input(close, 0, main_a_, scheme, SighashFlag::kAll, &sh_close);
   const Bytes sb = tx::sign_input(close, 0, main_b_, scheme, SighashFlag::kAll, &sh_close);
   daricch::attach_funding_witness(close, 0, fund_script_, sa, sb);
-  if (send_reliable(PartyId::kA, "ln/close") == 0) {
-    force_close(PartyId::kA);
-    run_until_closed();
-    return false;
-  }
+  if (send_or_close(PartyId::kA, "ln/close") == 0) return false;
   observe_weight(obs_.weight, close);
   if (env_.tracer().enabled())
     env_.tracer().emit(env_.now(), obs::EventKind::kChannelState, "lightning", params_.id, {},
@@ -330,14 +303,6 @@ void LightningChannel::on_round() {
                                 (conf ? *conf : env_.now()) + params_.t_punish,
                                 false,
                                 {}};
-}
-
-bool LightningChannel::run_until_closed(Round max_rounds) {
-  for (Round r = 0; r < max_rounds; ++r) {
-    if (outcome_ != LnOutcome::kNone) return true;
-    env_.advance_round();
-  }
-  return outcome_ != LnOutcome::kNone;
 }
 
 std::size_t LightningChannel::party_storage_bytes(PartyId who) const {

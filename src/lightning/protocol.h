@@ -4,11 +4,8 @@
 
 #include <optional>
 
-#include "src/channel/params.h"
-#include "src/channel/state.h"
+#include "src/channel/engine.h"
 #include "src/lightning/scripts.h"
-#include "src/obs/handles.h"
-#include "src/sim/environment.h"
 #include "src/sim/party.h"
 #include "src/tx/transaction.h"
 
@@ -16,28 +13,29 @@ namespace daric::lightning {
 
 enum class LnOutcome { kNone, kCooperative, kNonCollaborative, kPunished };
 
-class LightningChannel {
+class LightningChannel final : public channel::Engine {
  public:
   LightningChannel(sim::Environment& env, channel::ChannelParams params);
 
-  bool create();
-  bool update(const channel::StateVec& next);  // 3 message rounds
-  bool cooperative_close();
-  void force_close(sim::PartyId who);
+  bool create() override;
+  bool update(const channel::StateVec& next) override;  // 3 message rounds
+  bool cooperative_close(sim::PartyId initiator = sim::PartyId::kA) override;
+  void force_close(sim::PartyId who) override;
   void publish_old_commit(sim::PartyId who, std::uint32_t state);
+  void publish_revoked(sim::PartyId who, std::uint32_t state) override {
+    publish_old_commit(who, state);
+  }
 
-  bool run_until_closed(Round max_rounds = 400);
   LnOutcome outcome() const { return outcome_; }
-  bool closed() const { return outcome_ != LnOutcome::kNone; }
-  /// Downtime control for the chaos drills: while offline the channel's
-  /// chain monitor skips rounds entirely.
-  void set_monitor_online(bool v) { monitor_online_ = v; }
-  bool monitor_online() const { return monitor_online_; }
-  std::uint32_t state_number() const { return sn_; }
+  bool closed() const override { return outcome_ != LnOutcome::kNone; }
+  channel::Verdict verdict() const override { return channel::verdict_of(outcome_); }
+  /// While offline the channel's chain monitor skips rounds entirely.
+  void set_monitors_online(bool a, bool b) override { monitor_online_ = a && b; }
+  std::uint32_t state_number() const override { return sn_; }
   const channel::StateVec& state() const { return st_; }
 
   /// O(n): stored counterparty revocation secrets dominate.
-  std::size_t party_storage_bytes(sim::PartyId who) const;
+  std::size_t party_storage_bytes(sim::PartyId who) const override;
   /// Latest commitment tx of `who` (size measurements).
   const tx::Transaction& latest_commit(sim::PartyId who) const;
   /// Archived (signed) commit of `owner` at `state` plus its to_local script.
@@ -46,10 +44,10 @@ class LightningChannel {
   /// Revocation secret of `owner`'s commit #state, as revealed to the
   /// counterparty (throws unless state < sn, i.e. actually revoked).
   crypto::Scalar revealed_secret(sim::PartyId owner, std::uint32_t state) const;
-  BytesView payout_pk(sim::PartyId who) const {
+  BytesView payout_pk(sim::PartyId who) const override {
     return who == sim::PartyId::kA ? payout_a_ : payout_b_;
   }
-  const channel::ChannelParams& params() const { return params_; }
+  const channel::ChannelParams& params() const override { return params_; }
 
  private:
   struct CommitRecord {
@@ -71,14 +69,11 @@ class LightningChannel {
     return archive_.at(2 * std::size_t{state} + (owner == sim::PartyId::kB ? 1 : 0));
   }
   void sign_state(std::uint32_t state, const channel::StateVec& st);
-  int send_reliable(sim::PartyId from, const char* type);
   void on_round();
   /// Bumps the closed counter and emits the closed lifecycle event.
   void note_closed(LnOutcome outcome);
 
-  sim::Environment& env_;
   channel::ChannelParams params_;
-  obs::EngineHandles obs_;  // bound once in the constructor
   crypto::KeyPair main_a_, main_b_;       // funding / commit keys
   crypto::KeyPair delayed_a_, delayed_b_;
   // Payout keys: the `<id>/ln/X/main` wallet keys, i.e. main_*.pk.

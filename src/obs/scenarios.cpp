@@ -1,10 +1,7 @@
 #include "src/obs/scenarios.h"
 
+#include "src/channel/registry.h"
 #include "src/crypto/sig_scheme.h"
-#include "src/daric/protocol.h"
-#include "src/eltoo/protocol.h"
-#include "src/generalized/protocol.h"
-#include "src/lightning/protocol.h"
 #include "src/pcn/network.h"
 #include "src/sim/environment.h"
 
@@ -38,114 +35,50 @@ ScenarioRun finish(sim::Environment& env, bool ok, std::string detail) {
   return r;
 }
 
-ScenarioRun run_daric(sim::Environment& env, const std::string& scenario) {
-  if (scenario == "htlc") {
-    pcn::PaymentNetwork net(env);
-    net.add_node("A");
-    net.add_node("B");
-    net.add_node("C");
-    net.open_channel("A", "B", 50, 50, kTPunish);
-    net.open_channel("B", "C", 50, 50, kTPunish);
-    const bool ok = net.pay("A", "C", 10);
-    return finish(env, ok && net.payments_completed() == 1,
-                  ok ? "multi-hop payment settled" : "multi-hop payment failed");
-  }
-
-  daricch::DaricChannel ch(env, make_params("daric"));
-  if (!ch.create()) return finish(env, false, "create failed");
-  if (scenario == "update") {
-    if (!ch.update(shifted(45, 55)) || !ch.update(shifted(40, 60)) ||
-        !ch.update(shifted(48, 52)))
-      return finish(env, false, "update failed");
-    const bool ok = ch.cooperative_close() &&
-                    ch.party(PartyId::kA).outcome() == daricch::CloseOutcome::kCooperative;
-    return finish(env, ok, ok ? "cooperative close" : "cooperative close failed");
-  }
-  if (scenario == "force-close") {
-    if (!ch.update(shifted(45, 55)) || !ch.update(shifted(40, 60)))
-      return finish(env, false, "update failed");
-    // B publishes the revoked state-0 commit; A's monitor must post the
-    // revocation within T − Δ of the dispute (Theorem 1).
-    ch.publish_old_commit(PartyId::kB, 0);
-    const bool closed = ch.run_until_closed();
-    const bool ok = closed &&
-                    ch.party(PartyId::kA).outcome() == daricch::CloseOutcome::kPunished;
-    return finish(env, ok, ok ? "cheater punished" : "punishment did not land");
-  }
-  return finish(env, false, "unknown scenario: " + scenario);
+/// The three-node PCN multi-hop payment (the PCN runs on Daric channels).
+ScenarioRun run_htlc(sim::Environment& env) {
+  pcn::PaymentNetwork net(env);
+  net.add_node("A");
+  net.add_node("B");
+  net.add_node("C");
+  net.open_channel("A", "B", 50, 50, kTPunish);
+  net.open_channel("B", "C", 50, 50, kTPunish);
+  const bool ok = net.pay("A", "C", 10);
+  return finish(env, ok && net.payments_completed() == 1,
+                ok ? "multi-hop payment settled" : "multi-hop payment failed");
 }
 
-ScenarioRun run_lightning(sim::Environment& env, const std::string& scenario) {
-  lightning::LightningChannel ch(env, make_params("lightning"));
-  if (!ch.create()) return finish(env, false, "create failed");
+ScenarioRun run_channel(sim::Environment& env, const channel::EngineEntry& engine,
+                        const std::string& scenario) {
+  const std::unique_ptr<channel::Engine> ch = engine.make(env, make_params(engine.name));
+  if (!ch->create()) return finish(env, false, "create failed");
   if (scenario == "update") {
-    if (!ch.update(shifted(45, 55)) || !ch.update(shifted(40, 60)) ||
-        !ch.update(shifted(48, 52)))
+    if (!ch->update(shifted(45, 55)) || !ch->update(shifted(40, 60)) ||
+        !ch->update(shifted(48, 52)))
       return finish(env, false, "update failed");
-    const bool ok =
-        ch.cooperative_close() && ch.outcome() == lightning::LnOutcome::kCooperative;
+    const bool ok = ch->cooperative_close(PartyId::kA) &&
+                    ch->verdict() == channel::Verdict::kCooperative;
     return finish(env, ok, ok ? "cooperative close" : "cooperative close failed");
   }
   if (scenario == "force-close") {
-    if (!ch.update(shifted(45, 55)) || !ch.update(shifted(40, 60)))
+    if (!ch->update(shifted(45, 55)) || !ch->update(shifted(40, 60)))
       return finish(env, false, "update failed");
-    ch.publish_old_commit(PartyId::kB, 0);
-    const bool ok =
-        ch.run_until_closed() && ch.outcome() == lightning::LnOutcome::kPunished;
-    return finish(env, ok, ok ? "cheater punished" : "punishment did not land");
-  }
-  return finish(env, false, "unknown scenario: " + scenario);
-}
-
-ScenarioRun run_eltoo(sim::Environment& env, const std::string& scenario) {
-  eltoo::EltooChannel ch(env, make_params("eltoo"));
-  if (!ch.create()) return finish(env, false, "create failed");
-  if (scenario == "update") {
-    if (!ch.update(shifted(45, 55)) || !ch.update(shifted(40, 60)) ||
-        !ch.update(shifted(48, 52)))
-      return finish(env, false, "update failed");
-    const bool ok = ch.cooperative_close() && ch.settled_state() == ch.state_number();
-    return finish(env, ok, ok ? "cooperative close" : "cooperative close failed");
-  }
-  if (scenario == "force-close") {
-    if (!ch.update(shifted(45, 55)) || !ch.update(shifted(40, 60)))
-      return finish(env, false, "update failed");
-    // eltoo has no punishment: the honest side can only override the stale
-    // update with the latest one and settle there.
-    ch.publish_old_update(PartyId::kB, 0);
-    const bool ok = ch.run_until_closed() && ch.settled_state() == ch.state_number();
-    return finish(env, ok, ok ? "stale update overridden" : "override did not land");
-  }
-  return finish(env, false, "unknown scenario: " + scenario);
-}
-
-ScenarioRun run_generalized(sim::Environment& env, const std::string& scenario) {
-  generalized::GeneralizedChannel ch(env, make_params("generalized"));
-  if (!ch.create()) return finish(env, false, "create failed");
-  if (scenario == "update") {
-    if (!ch.update(shifted(45, 55)) || !ch.update(shifted(40, 60)) ||
-        !ch.update(shifted(48, 52)))
-      return finish(env, false, "update failed");
-    const bool ok =
-        ch.cooperative_close() && ch.outcome() == generalized::GcOutcome::kCooperative;
-    return finish(env, ok, ok ? "cooperative close" : "cooperative close failed");
-  }
-  if (scenario == "force-close") {
-    if (!ch.update(shifted(45, 55)) || !ch.update(shifted(40, 60)))
-      return finish(env, false, "update failed");
-    ch.publish_old_commit(PartyId::kB, 0);
-    const bool ok =
-        ch.run_until_closed() && ch.outcome() == generalized::GcOutcome::kPunished;
-    return finish(env, ok, ok ? "cheater punished" : "punishment did not land");
+    // B publishes its revoked state 0. The victim must react: Daric posts
+    // the revocation within T − Δ of the dispute (Theorem 1); eltoo, which
+    // has no punishment, can only override the stale update and settle the
+    // latest state.
+    ch->publish_revoked(PartyId::kB, 0);
+    const bool closed = ch->run_until_closed();
+    const channel::Verdict v = ch->verdict();
+    if (closed && v == channel::Verdict::kPunished) return finish(env, true, "cheater punished");
+    if (closed && v == channel::Verdict::kOverridden)
+      return finish(env, true, "stale update overridden");
+    return finish(env, false, "reaction did not land");
   }
   return finish(env, false, "unknown scenario: " + scenario);
 }
 
 }  // namespace
-
-std::vector<std::string> scenario_engines() {
-  return {"daric", "lightning", "eltoo", "generalized"};
-}
 
 std::vector<std::string> scenario_names() { return {"update", "force-close", "htlc"}; }
 
@@ -153,15 +86,14 @@ ScenarioRun run_scenario(const std::string& engine, const std::string& scenario)
   sim::Environment env(kDelta, crypto::schnorr_scheme());
   env.tracer().set_enabled(true);
 
-  if (scenario == "htlc" && engine != "daric") {
-    return finish(env, false, "htlc scenario rides on the Daric PCN; use --engine daric");
+  if (scenario == "htlc") {
+    if (engine != "daric")
+      return finish(env, false, "htlc scenario rides on the Daric PCN; use --engine daric");
+    return run_htlc(env);
   }
-  if (engine == "daric") return run_daric(env, scenario);
-  if (engine == "lightning") return run_lightning(env, scenario);
-  if (engine == "eltoo") return run_eltoo(env, scenario);
-  if (engine == "generalized") return run_generalized(env, scenario);
-  ScenarioRun r = finish(env, false, "unknown engine: " + engine);
-  return r;
+  const channel::EngineEntry* entry = channel::find_engine(engine);
+  if (!entry) return finish(env, false, "unknown engine: " + engine);
+  return run_channel(env, *entry, scenario);
 }
 
 }  // namespace daric::obs

@@ -2,11 +2,11 @@
 // tracer enabled — the data source for tools/daric_trace and the exact-
 // sequence assertions in tests/test_obs.cpp.
 //
-// Engines:   daric | lightning | eltoo | generalized
+// Engines:   every registry engine (src/channel/registry.h)
 // Scenarios: update      — create, three updates, cooperative close
 //            force-close — create, two updates, counterparty publishes the
-//                          revoked state-0 commit, victim reacts (Daric:
-//                          instant revocation per Theorem 1)
+//                          revoked state 0, victim reacts (Daric: instant
+//                          revocation per Theorem 1; eltoo: override)
 //            htlc        — three-node PCN multi-hop payment (daric only)
 #pragma once
 
@@ -25,8 +25,7 @@ struct ScenarioRun {
   std::string metrics_text;    // Registry::summary_text() at scenario end
 };
 
-/// Names accepted by run_scenario.
-std::vector<std::string> scenario_engines();
+/// Scenario names accepted by run_scenario.
 std::vector<std::string> scenario_names();
 
 /// Runs `scenario` on `engine` in a fresh Environment (Δ = 2, Schnorr,

@@ -46,7 +46,6 @@ class Environment {
   Round now() const { return ledger_.now(); }
   Round delta() const { return ledger_.delta(); }
   const crypto::SignatureScheme& scheme() const { return ledger_.scheme(); }
-  MessageLog& log() { return log_; }
   const DeliveryQueue& delivery_queue() const { return queue_; }
 
   /// The run's event tracer (null/disabled by default). Instrumentation
@@ -135,7 +134,6 @@ class Environment {
                       obs::Attr::s("type", type)});
     }
     if (copies > 0) queue_.push({deliver, from, type, copies});
-    log_.record({sent, deliver, from, type, fate, copies});
     int arrived = 0;
     while (now() < deliver) {
       advance_round();
@@ -155,14 +153,8 @@ class Environment {
     return {arrived, extra};
   }
 
-  /// Charges one message round to the clock (off-chain traffic). Legacy
-  /// entry point: delivery result intentionally ignored by callers that
-  /// predate fault injection.
-  void message_round(PartyId from, std::string type) { transmit(from, std::move(type)); }
-
  private:
   ledger::Ledger ledger_;
-  MessageLog log_;
   DeliveryQueue queue_;
   FaultInjector* injector_ = nullptr;
   Round message_delay_budget_ = 3;

@@ -1,25 +1,22 @@
 #include "src/sim/faults/drill.h"
 
 #include <algorithm>
-#include <initializer_list>
-#include <optional>
 
+#include "src/channel/registry.h"
 #include "src/crypto/sig_scheme.h"
 #include "src/daric/persistence.h"
 #include "src/daric/protocol.h"
-#include "src/store/channel_store.h"
-#include "src/eltoo/protocol.h"
-#include "src/generalized/protocol.h"
-#include "src/lightning/protocol.h"
 #include "src/obs/sinks.h"
 #include "src/sim/faults/chaos.h"
 #include "src/sim/faults/rng.h"
+#include "src/store/channel_store.h"
 
 namespace daric::sim::faults {
 
 namespace {
 
 using channel::StateVec;
+using channel::Verdict;
 
 constexpr Amount kCashA = 60'000;
 constexpr Amount kCashB = 40'000;
@@ -40,18 +37,6 @@ bool conserved(const ledger::Ledger& l) {
   return l.utxos().total_value() + l.fees_total() == l.minted_total();
 }
 
-struct Payout {
-  Amount a = 0;
-  Amount b = 0;
-  bool operator==(const Payout&) const = default;
-};
-
-bool payout_matches(const Payout& got, std::initializer_list<Payout> candidates) {
-  for (const Payout& c : candidates)
-    if (got == c) return true;
-  return false;
-}
-
 /// Per-update balance, a stateless function of the seed so a replayed
 /// schedule drives the identical state sequence.
 Amount update_to_a(std::uint64_t seed, std::uint32_t i) {
@@ -60,8 +45,7 @@ Amount update_to_a(std::uint64_t seed, std::uint32_t i) {
 }
 
 /// Counters come straight from the environment's metrics registry — the
-/// same `sim.msg.*` series every tool reads — instead of the bespoke
-/// ChaosInjector/MessageLog tallies this replaced.
+/// same `sim.msg.*` series every tool reads.
 void finish_report(DrillReport& rep, Environment& env, const DrillObs& o) {
   obs::Registry& m = env.metrics();
   rep.msg_total = m.counter("sim.msg.sent").value();
@@ -72,10 +56,6 @@ void finish_report(DrillReport& rep, Environment& env, const DrillObs& o) {
   if (o.metrics_text) *o.metrics_text = m.summary_text();
   env.tracer().flush_sinks();
 }
-
-// ---------------------------------------------------------------------------
-// Daric
-// ---------------------------------------------------------------------------
 
 struct EndgameResult {
   bool punished = false;
@@ -132,147 +112,84 @@ EndgameResult run_cheat_endgame(Environment& env, daricch::DaricChannel& ch, Par
   return res;
 }
 
-DrillReport run_daric(const FaultSchedule& s, const DrillObs& o) {
-  DrillReport rep;
-  rep.protocol = Protocol::kDaric;
-  rep.seed = s.seed;
+// ---------------------------------------------------------------------------
+// Daric's hook: durable stores, crash recovery, the split-sweeping cheater
+// ---------------------------------------------------------------------------
 
-  Environment env(s.delta, crypto::schnorr_scheme());
-  env.set_message_delay_budget(s.delay_budget);
-  ChaosInjector inj(s);
-  env.set_fault_injector(&inj);
-  env.ledger().set_delay_policy(
-      [&inj](const tx::Transaction&, Round d) { return inj.post_delay(0, d); });
-  if (o.sink) env.tracer().add_sink(o.sink);
-
-  channel::ChannelParams params;
-  params.id = "chaos-daric-" + std::to_string(s.seed);
-  params.cash_a = kCashA;
-  params.cash_b = kCashB;
-  params.t_punish = s.t_punish;
-
-  // Monitor blackouts run before the party monitors each round; the
-  // endgame phases (crash, fraud) take over the online flags themselves.
-  daricch::DaricChannel* chp = nullptr;
-  bool windows_active = true;
-  env.add_round_hook([&env, &s, &chp, &windows_active] {
-    if (!chp || !windows_active) return;
-    const Round r = env.now();
-    bool on_a = true, on_b = true;
-    for (const DowntimeWindow& w : s.downtime) {
-      if (r >= w.start && r < w.start + w.length)
-        (w.victim == PartyId::kA ? on_a : on_b) = false;
-    }
-    chp->party(PartyId::kA).set_online(on_a);
-    chp->party(PartyId::kB).set_online(on_b);
-  });
-
-  daricch::DaricChannel ch(env, params);
-  chp = &ch;
+class DaricDrillHook final : public DrillHook {
+ public:
+  Round close_rounds() const override { return 300; }
 
   // Every drill runs both parties over a durable channel store so the
   // engine's fsync points fire on every schedule, not only crashing ones.
-  // Crash recovery reads the victim's state back from its backend image.
-  store::MemoryBackend backend_a;
-  store::MemoryBackend backend_b;
-  store::ChannelStore store_a(backend_a, &env.metrics());
-  store::ChannelStore store_b(backend_b, &env.metrics());
-  ch.party(PartyId::kA).set_durability_hook(&store_a);
-  ch.party(PartyId::kB).set_durability_hook(&store_b);
-
-  rep.create_ok = ch.create();
-  if (!rep.create_ok) {
-    // Abandoned open: both funding sources must still sit untouched.
-    const auto key = [&params](PartyId id) {
-      return crypto::derive_keypair(params.id + "/" + party_name(id) + "/funding-source");
-    };
-    rep.closed = true;
-    rep.conservation_ok = conserved(env.ledger());
-    rep.payout_ok = credited(env.ledger(), key(PartyId::kA).pk.compressed()) == kCashA &&
-                    credited(env.ledger(), key(PartyId::kB).pk.compressed()) == kCashB;
-    rep.ok = rep.conservation_ok && rep.payout_ok && !s.cheat.expect_loss;
-    rep.detail = "create aborted";
-    finish_report(rep, env, o);
-    return rep;
+  void attach(DrillRun& run) override {
+    ch_ = &dynamic_cast<daricch::DaricChannel&>(run.ch);
+    store_a_.emplace(backend_a_, &run.env.metrics());
+    store_b_.emplace(backend_b_, &run.env.metrics());
+    ch_->party(PartyId::kA).set_durability_hook(&*store_a_);
+    ch_->party(PartyId::kB).set_durability_hook(&*store_b_);
+    if (!run.s.crashes.empty()) crash_ = run.s.crashes[0];
+    // A mid-update crash only makes sense for a message the victim actually
+    // sends (the proposer — always A here — sends 1/3/5, the responder
+    // 2/4/6); a mismatched pairing degrades to the post-update crash.
+    mid_crash_ = crash_ && crash_->at_msg != 0 &&
+                 (crash_->victim == PartyId::kA) == (crash_->at_msg % 2 == 1);
   }
 
-  StateVec stable{kCashA, kCashB, {}};
-  std::optional<StateVec> attempted;
-  bool update_aborted = false;
-  const std::optional<CrashPoint> crash =
-      s.crashes.empty() ? std::nullopt : std::optional<CrashPoint>(s.crashes[0]);
-  // A mid-update crash only makes sense for a message the victim actually
-  // sends (the proposer — always A here — sends 1/3/5, the responder
-  // 2/4/6); a mismatched pairing degrades to the legacy post-update crash.
-  const bool mid_crash =
-      crash && crash->at_msg != 0 &&
-      (crash->victim == PartyId::kA) == (crash->at_msg % 2 == 1);
-  bool crashed_mid = false;
-  for (std::uint32_t i = 0; i < s.updates; ++i) {
-    const Amount to_a = update_to_a(s.seed, i);
-    const StateVec next{to_a, kCapacity - to_a, {}};
-    attempted = next;
-    if (mid_crash && rep.updates_done + 1 == crash->after_update) {
-      // The victim dies immediately before sending message at_msg of this
-      // update: everything after the engine's last fsync is gone, and the
-      // counterparty sees only silence and force-closes.
-      windows_active = false;
-      daricch::DaricParty& victim = ch.party(crash->victim);
-      victim.set_online(false);
-      victim.behavior.abort_update_before_msg = static_cast<int>(crash->at_msg);
-      crashed_mid = true;
-    }
-    if (!ch.update(next)) {
-      if (crashed_mid) break;
-      update_aborted = true;
-      break;
-    }
-    stable = next;
-    attempted.reset();
-    ++rep.updates_done;
-    if (crash && crash->after_update == rep.updates_done) break;
+  bool before_update(DrillRun& run, std::uint32_t n) override {
+    if (!mid_crash_ || n != crash_->after_update) return false;
+    // The victim dies immediately before sending message at_msg of this
+    // update: everything after the engine's last fsync is gone, and the
+    // counterparty sees only silence and force-closes.
+    run.windows_active = false;
+    daricch::DaricParty& victim = ch_->party(crash_->victim);
+    victim.set_online(false);
+    victim.behavior.abort_update_before_msg = static_cast<int>(crash_->at_msg);
+    crashed_mid_ = true;
+    return true;
   }
 
-  const Payout got_stable{stable.to_a, stable.to_b};
-  auto audit = [&](std::initializer_list<Payout> candidates) {
-    const Payout got{credited(env.ledger(), ch.party(PartyId::kA).pub().main),
-                     credited(env.ledger(), ch.party(PartyId::kB).pub().main)};
-    rep.conservation_ok = conserved(env.ledger());
-    rep.payout_ok = payout_matches(got, candidates);
-  };
+  bool stop_after(DrillRun&, std::uint32_t n) override {
+    return crash_ && crash_->after_update == n;
+  }
 
-  if (update_aborted) {
-    // The retry budget ran out mid-update and one side force-closed; the
-    // split may pay either the last stable or the attempted state (both
-    // are fully signed by both parties).
-    rep.closed = ch.run_until_closed(300);
-    audit({got_stable, Payout{attempted->to_a, attempted->to_b}});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok && !s.cheat.expect_loss;
-    rep.detail = "update aborted to force-close";
-  } else if (crashed_mid || (crash && rep.updates_done == crash->after_update)) {
-    // Crash-recovery off the durable store: the victim's surviving state is
-    // exactly what its ChannelStore synced, plus whatever fragment of the
-    // in-flight write the disk kept. Recovery truncates that tail and
-    // restores a standalone monitor from the last durable snapshot.
+  bool end(DrillRun& run) override {
+    if (crashed_mid_ || (crash_ && run.rep.updates_done == crash_->after_update)) {
+      recover(run);
+      return true;
+    }
+    if (run.s.cheat.enabled && run.s.cheat.state < run.rep.updates_done) {
+      cheat(run);
+      return true;
+    }
+    return false;
+  }
+
+ private:
+  // Crash-recovery off the durable store: the victim's surviving state is
+  // exactly what its ChannelStore synced, plus whatever fragment of the
+  // in-flight write the disk kept. Recovery truncates that tail and
+  // restores a standalone monitor from the last durable snapshot.
+  void recover(DrillRun& run) {
+    const FaultSchedule& s = run.s;
+    DrillReport& rep = run.rep;
     rep.crashed = true;
-    windows_active = false;
-    daricch::DaricParty& victim = ch.party(crash->victim);
+    run.windows_active = false;
+    daricch::DaricParty& victim = ch_->party(crash_->victim);
     victim.set_online(false);  // the crashed process never comes back
 
-    Bytes image =
-        (crash->victim == PartyId::kA ? backend_a : backend_b).durable_image();
-    if (crash->torn_bytes != 0) {
-      if (crash->corrupt_tail) {
+    Bytes image = (crash_->victim == PartyId::kA ? backend_a_ : backend_b_).durable_image();
+    if (crash_->torn_bytes != 0) {
+      if (crash_->corrupt_tail) {
         // Bit rot in the unsynced tail: garbage after the synced prefix.
-        for (std::uint32_t k = 0; k < crash->torn_bytes; ++k)
+        for (std::uint32_t k = 0; k < crash_->torn_bytes; ++k)
           image.push_back(static_cast<Byte>(mix(s.seed, 0x7042ull + k)));
       } else {
         // Torn write: a strict prefix of a record that never hit the sync
         // barrier, so recovery must drop it without touching earlier ones.
         const Bytes frame = store::encode_record(store::encode_put(
             store::ChannelStore::channel_key(victim), Bytes(48, 0xab)));
-        const std::size_t take =
-            std::min<std::size_t>(crash->torn_bytes, frame.size() - 1);
+        const std::size_t take = std::min<std::size_t>(crash_->torn_bytes, frame.size() - 1);
         image.insert(image.end(), frame.begin(),
                      frame.begin() + static_cast<std::ptrdiff_t>(take));
       }
@@ -280,433 +197,196 @@ DrillReport run_daric(const FaultSchedule& s, const DrillObs& o) {
     store::MemoryBackend crashed_disk;
     crashed_disk.replace(image);
     store::ChannelStore recovered_store(crashed_disk);
-    const Bytes* blob =
-        recovered_store.get(store::ChannelStore::channel_key(victim));
+    const Bytes* blob = recovered_store.get(store::ChannelStore::channel_key(victim));
     rep.closed = false;
     if (blob) {
-      daricch::RestoredParty restored(env, daricch::deserialize_snapshot(*blob));
-      env.add_round_hook([&restored] { restored.on_round(); });
+      daricch::RestoredParty restored(run.env, daricch::deserialize_snapshot(*blob));
+      RoundHooks hooks(run.env);
+      hooks.add([&restored] { restored.on_round(); });
       restored.force_close();
-      for (int r = 0; r < 400 && !restored.done(); ++r) env.advance_round();
+      for (int r = 0; r < 400 && !restored.done(); ++r) run.env.advance_round();
       rep.closed = restored.done();
     }
-    if (crashed_mid && attempted) {
+    const Payout got_stable{run.stable.to_a, run.stable.to_b};
+    if (crashed_mid_ && run.attempted) {
       // A mid-update crash may settle at either fully-signed state: the old
       // one (crash before the victim saw the new commit fully signed) or
       // the attempted one (counterparty already promoted it).
-      audit({got_stable, Payout{attempted->to_a, attempted->to_b}});
+      run.audit({got_stable, Payout{run.attempted->to_a, run.attempted->to_b}});
     } else {
-      audit({got_stable});
+      run.audit({got_stable});
     }
     rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok && !s.cheat.expect_loss;
-    rep.detail = crashed_mid ? "mid-update crash recovery" : "crash-recovery close";
-  } else if (s.cheat.enabled && s.cheat.state < rep.updates_done) {
+    rep.detail = crashed_mid_ ? "mid-update crash recovery" : "crash-recovery close";
+  }
+
+  void cheat(DrillRun& run) {
+    const FaultSchedule& s = run.s;
+    DrillReport& rep = run.rep;
     rep.cheated = true;
-    windows_active = false;
+    run.windows_active = false;
     const PartyId cheater = s.cheat.cheater;
-    const EndgameResult res = run_cheat_endgame(env, ch, cheater, s.cheat.state,
+    const EndgameResult res = run_cheat_endgame(run.env, *ch_, cheater, s.cheat.state,
                                                 s.cheat.victim_offline, s.t_punish, s.delta);
     rep.closed = res.closed;
     rep.punished = res.punished;
     rep.funds_lost = res.funds_lost;
-    rep.conservation_ok = conserved(env.ledger());
+    rep.conservation_ok = conserved(run.env.ledger());
     if (s.cheat.expect_loss) {
       // The crafted boundary schedule: the victim must come out short.
-      const Amount victim_credit = credited(
-          env.ledger(), ch.party(other(cheater)).pub().main);
-      const Amount owed = cheater == PartyId::kA ? stable.to_b : stable.to_a;
+      const Amount victim_credit = credited(run.env.ledger(), ch_->payout_pk(other(cheater)));
+      const Amount owed = cheater == PartyId::kA ? run.stable.to_b : run.stable.to_a;
       rep.payout_ok = victim_credit < owed;
       rep.ok = rep.closed && rep.conservation_ok && rep.funds_lost && !rep.punished &&
                rep.payout_ok;
       rep.detail = "expected funds loss beyond T - delta";
     } else {
-      const Payout want = cheater == PartyId::kA ? Payout{0, kCapacity}
-                                                 : Payout{kCapacity, 0};
-      audit({want});
+      run.audit({cheater == PartyId::kA ? Payout{0, kCapacity} : Payout{kCapacity, 0}});
       rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok && rep.punished &&
                !rep.funds_lost;
       rep.detail = "fraud punished";
     }
+  }
+
+  daricch::DaricChannel* ch_ = nullptr;
+  store::MemoryBackend backend_a_, backend_b_;
+  std::optional<store::ChannelStore> store_a_, store_b_;
+  std::optional<CrashPoint> crash_;
+  bool mid_crash_ = false;
+  bool crashed_mid_ = false;
+};
+
+}  // namespace
+
+void DrillRun::audit(std::initializer_list<Payout> candidates) {
+  const Payout got{credited(env.ledger(), ch.payout_pk(PartyId::kA)),
+                   credited(env.ledger(), ch.payout_pk(PartyId::kB))};
+  rep.conservation_ok = conserved(env.ledger());
+  rep.payout_ok = std::find(candidates.begin(), candidates.end(), got) != candidates.end();
+}
+
+std::unique_ptr<DrillHook> daric_drill_hook() { return std::make_unique<DaricDrillHook>(); }
+
+DrillReport run_drill(std::string_view engine, const FaultSchedule& s, const DrillObs& o) {
+  const channel::EngineEntry& entry = channel::engine(engine);
+  DrillReport rep;
+  rep.engine = entry.name;
+  rep.seed = s.seed;
+
+  Environment env(s.delta, crypto::schnorr_scheme());
+  env.set_message_delay_budget(s.delay_budget);
+  ChaosInjector inj(s);
+  env.set_fault_injector(&inj);
+  env.ledger().set_delay_policy(
+      [&inj](const tx::Transaction&, Round d) { return inj.post_delay(0, d); });
+  if (o.sink) env.tracer().add_sink(o.sink);
+
+  channel::ChannelParams params;
+  params.id = std::string("chaos-") + entry.tag + "-" + std::to_string(s.seed);
+  params.cash_a = kCashA;
+  params.cash_b = kCashB;
+  params.t_punish = s.t_punish;
+
+  // Monitor blackouts run before the parties monitor each round (the hook
+  // is registered before the channel's own); endgames that take over the
+  // online flags switch them off.
+  DrillRun* runp = nullptr;
+  RoundHooks windows(env);
+  windows.add([&env, &s, &runp] {
+    if (!runp || !runp->windows_active) return;
+    const Round r = env.now();
+    bool on_a = true, on_b = true;
+    for (const DowntimeWindow& w : s.downtime) {
+      if (r >= w.start && r < w.start + w.length)
+        (w.victim == PartyId::kA ? on_a : on_b) = false;
+    }
+    runp->ch.set_monitors_online(on_a, on_b);
+  });
+
+  const std::unique_ptr<channel::Engine> ch = entry.make(env, params);
+  DrillRun run{s, env, *ch, rep, StateVec{kCashA, kCashB, {}}, std::nullopt};
+  runp = &run;
+  const std::unique_ptr<DrillHook> hook = entry.drill_hook ? entry.drill_hook() : nullptr;
+  if (hook) hook->attach(run);
+  const Round close_rounds = hook ? hook->close_rounds() : 400;
+
+  rep.create_ok = ch->create();
+  if (!rep.create_ok) {
+    // Abandoned open: no transaction moved any funds (funding sources an
+    // engine minted up front still sit where they were minted).
+    rep.closed = true;
+    rep.conservation_ok = conserved(env.ledger());
+    rep.payout_ok = env.ledger().accepted().empty();
+    rep.ok = rep.conservation_ok && rep.payout_ok && !s.cheat.expect_loss;
+    rep.detail = "create aborted";
+    finish_report(rep, env, o);
+    return rep;
+  }
+
+  bool update_aborted = false;
+  for (std::uint32_t i = 0; i < s.updates; ++i) {
+    const Amount to_a = update_to_a(s.seed, i);
+    const StateVec next{to_a, kCapacity - to_a, {}};
+    run.attempted = next;
+    const bool crashing = hook && hook->before_update(run, rep.updates_done + 1);
+    if (!ch->update(next)) {
+      update_aborted = !crashing;
+      break;
+    }
+    run.stable = next;
+    run.attempted.reset();
+    ++rep.updates_done;
+    if (hook && hook->stop_after(run, rep.updates_done)) break;
+  }
+
+  const Payout got_stable{run.stable.to_a, run.stable.to_b};
+  if (update_aborted) {
+    // The retry budget ran out mid-update and one side force-closed; the
+    // close may pay either the last stable or the attempted state (both
+    // are fully signed by both parties).
+    rep.closed = ch->run_until_closed(close_rounds);
+    run.audit({got_stable, Payout{run.attempted->to_a, run.attempted->to_b}});
+    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok && !s.cheat.expect_loss;
+    rep.detail = "update aborted to force-close";
+  } else if (hook && hook->end(run)) {
+    // The hook ran its own ending (crash recovery, its own fraud endgame).
+  } else if (s.cheat.enabled && s.cheat.state < rep.updates_done) {
+    // The cheater publishes a revoked state while every monitor is dark.
+    // Punishing engines hand the victim the whole capacity; eltoo can only
+    // override the stale update and settle the latest state.
+    rep.cheated = true;
+    run.windows_active = false;
+    ch->set_monitors_online(false, false);
+    ch->publish_revoked(s.cheat.cheater, s.cheat.state);
+    env.advance_rounds(s.cheat.victim_offline);
+    ch->set_monitors_online(true, true);
+    rep.closed = ch->run_until_closed(close_rounds);
+    const Verdict v = ch->verdict();
+    rep.punished = v == Verdict::kPunished;
+    const PartyId victim = other(s.cheat.cheater);
+    const Payout whole = victim == PartyId::kA ? Payout{kCapacity, 0} : Payout{0, kCapacity};
+    run.audit({v == Verdict::kOverridden ? got_stable : whole});
+    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok &&
+             (rep.punished || v == Verdict::kOverridden);
+    rep.detail = v == Verdict::kOverridden ? "stale update overridden" : "fraud punished";
   } else {
     const bool coop = mix(s.seed, 0xc105eull) % 2 == 0;
     const PartyId initiator = mix(s.seed, 0x1417ull) % 2 == 0 ? PartyId::kA : PartyId::kB;
     bool done;
     if (coop) {
-      done = ch.cooperative_close(initiator);
+      done = ch->cooperative_close(initiator);
     } else {
-      ch.party(initiator).force_close();
-      done = ch.run_until_closed(300);
+      ch->force_close(initiator);
+      done = ch->run_until_closed(close_rounds);
     }
-    if (!done) done = ch.run_until_closed(300);
+    if (!done) done = ch->run_until_closed(close_rounds);
     rep.closed = done;
-    audit({got_stable});
+    run.audit({got_stable});
     rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok && !s.cheat.expect_loss;
     rep.detail = coop ? "cooperative close" : "force close";
   }
   finish_report(rep, env, o);
   return rep;
-}
-
-// ---------------------------------------------------------------------------
-// Lightning
-// ---------------------------------------------------------------------------
-
-DrillReport run_lightning(const FaultSchedule& s, const DrillObs& o) {
-  DrillReport rep;
-  rep.protocol = Protocol::kLightning;
-  rep.seed = s.seed;
-
-  Environment env(s.delta, crypto::schnorr_scheme());
-  env.set_message_delay_budget(s.delay_budget);
-  ChaosInjector inj(s);
-  env.set_fault_injector(&inj);
-  env.ledger().set_delay_policy(
-      [&inj](const tx::Transaction&, Round d) { return inj.post_delay(0, d); });
-  if (o.sink) env.tracer().add_sink(o.sink);
-
-  channel::ChannelParams params;
-  params.id = "chaos-ln-" + std::to_string(s.seed);
-  params.cash_a = kCashA;
-  params.cash_b = kCashB;
-  params.t_punish = s.t_punish;
-
-  lightning::LightningChannel* chp = nullptr;
-  bool windows_active = true;
-  env.add_round_hook([&env, &s, &chp, &windows_active] {
-    if (!chp || !windows_active) return;
-    const Round r = env.now();
-    bool online = true;
-    for (const DowntimeWindow& w : s.downtime)
-      if (r >= w.start && r < w.start + w.length) online = false;
-    chp->set_monitor_online(online);
-  });
-
-  lightning::LightningChannel ch(env, params);
-  chp = &ch;
-
-  rep.create_ok = ch.create();
-  if (!rep.create_ok) {
-    rep.closed = true;
-    rep.conservation_ok = conserved(env.ledger());  // nothing minted
-    rep.payout_ok = true;
-    rep.ok = rep.conservation_ok && !s.cheat.expect_loss;
-    rep.detail = "create aborted";
-    finish_report(rep, env, o);
-    return rep;
-  }
-
-  StateVec stable{kCashA, kCashB, {}};
-  std::optional<StateVec> attempted;
-  bool update_aborted = false;
-  for (std::uint32_t i = 0; i < s.updates; ++i) {
-    const Amount to_a = update_to_a(s.seed, i);
-    const StateVec next{to_a, kCapacity - to_a, {}};
-    attempted = next;
-    if (!ch.update(next)) {
-      update_aborted = true;
-      break;
-    }
-    stable = next;
-    attempted.reset();
-    ++rep.updates_done;
-  }
-
-  auto audit = [&](std::initializer_list<Payout> candidates) {
-    const Payout got{credited(env.ledger(), ch.payout_pk(PartyId::kA)),
-                     credited(env.ledger(), ch.payout_pk(PartyId::kB))};
-    rep.conservation_ok = conserved(env.ledger());
-    rep.payout_ok = payout_matches(got, candidates);
-  };
-  const Payout got_stable{stable.to_a, stable.to_b};
-
-  if (update_aborted) {
-    rep.closed = ch.run_until_closed(400);
-    audit({got_stable, Payout{attempted->to_a, attempted->to_b}});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok;
-    rep.detail = "update aborted to force-close";
-  } else if (s.cheat.enabled && s.cheat.state < rep.updates_done) {
-    rep.cheated = true;
-    windows_active = false;
-    ch.set_monitor_online(false);
-    ch.publish_old_commit(s.cheat.cheater, s.cheat.state);
-    env.advance_rounds(s.cheat.victim_offline);
-    ch.set_monitor_online(true);
-    rep.closed = ch.run_until_closed(400);
-    rep.punished = ch.outcome() == lightning::LnOutcome::kPunished;
-    // The victim claims the cheater's to_local and keeps its own direct
-    // output from the published old commit: the whole capacity.
-    const PartyId victim = other(s.cheat.cheater);
-    const Payout want = victim == PartyId::kA ? Payout{kCapacity, 0} : Payout{0, kCapacity};
-    audit({want});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok && rep.punished;
-    rep.detail = "fraud punished";
-  } else {
-    const bool coop = mix(s.seed, 0xc105eull) % 2 == 0;
-    bool done;
-    if (coop) {
-      done = ch.cooperative_close();
-    } else {
-      ch.force_close(mix(s.seed, 0x1417ull) % 2 == 0 ? PartyId::kA : PartyId::kB);
-      done = ch.run_until_closed(400);
-    }
-    if (!done) done = ch.run_until_closed(400);
-    rep.closed = done;
-    audit({got_stable});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok;
-    rep.detail = coop ? "cooperative close" : "force close";
-  }
-  finish_report(rep, env, o);
-  return rep;
-}
-
-// ---------------------------------------------------------------------------
-// Generalized channels
-// ---------------------------------------------------------------------------
-
-DrillReport run_generalized(const FaultSchedule& s, const DrillObs& o) {
-  DrillReport rep;
-  rep.protocol = Protocol::kGeneralized;
-  rep.seed = s.seed;
-
-  Environment env(s.delta, crypto::schnorr_scheme());
-  env.set_message_delay_budget(s.delay_budget);
-  ChaosInjector inj(s);
-  env.set_fault_injector(&inj);
-  env.ledger().set_delay_policy(
-      [&inj](const tx::Transaction&, Round d) { return inj.post_delay(0, d); });
-  if (o.sink) env.tracer().add_sink(o.sink);
-
-  channel::ChannelParams params;
-  params.id = "chaos-gc-" + std::to_string(s.seed);
-  params.cash_a = kCashA;
-  params.cash_b = kCashB;
-  params.t_punish = s.t_punish;
-
-  generalized::GeneralizedChannel* chp = nullptr;
-  bool windows_active = true;
-  env.add_round_hook([&env, &s, &chp, &windows_active] {
-    if (!chp || !windows_active) return;
-    const Round r = env.now();
-    bool online = true;
-    for (const DowntimeWindow& w : s.downtime)
-      if (r >= w.start && r < w.start + w.length) online = false;
-    chp->set_monitor_online(online);
-  });
-
-  generalized::GeneralizedChannel ch(env, params);
-  chp = &ch;
-
-  // The engine keeps its payout keys private; re-derive them from the
-  // deterministic wallet (same derivation path the constructor uses).
-  const Bytes pk_a = to_pub(daricch::DaricKeys::derive("A", params.id + "/gc")).main;
-  const Bytes pk_b = to_pub(daricch::DaricKeys::derive("B", params.id + "/gc")).main;
-
-  rep.create_ok = ch.create();
-  if (!rep.create_ok) {
-    rep.closed = true;
-    rep.conservation_ok = conserved(env.ledger());
-    rep.payout_ok = true;
-    rep.ok = rep.conservation_ok && !s.cheat.expect_loss;
-    rep.detail = "create aborted";
-    finish_report(rep, env, o);
-    return rep;
-  }
-
-  StateVec stable{kCashA, kCashB, {}};
-  std::optional<StateVec> attempted;
-  bool update_aborted = false;
-  for (std::uint32_t i = 0; i < s.updates; ++i) {
-    const Amount to_a = update_to_a(s.seed, i);
-    const StateVec next{to_a, kCapacity - to_a, {}};
-    attempted = next;
-    if (!ch.update(next)) {
-      update_aborted = true;
-      break;
-    }
-    stable = next;
-    attempted.reset();
-    ++rep.updates_done;
-  }
-
-  auto audit = [&](std::initializer_list<Payout> candidates) {
-    const Payout got{credited(env.ledger(), pk_a), credited(env.ledger(), pk_b)};
-    rep.conservation_ok = conserved(env.ledger());
-    rep.payout_ok = payout_matches(got, candidates);
-  };
-  const Payout got_stable{stable.to_a, stable.to_b};
-
-  if (update_aborted) {
-    rep.closed = ch.run_until_closed(400);
-    audit({got_stable, Payout{attempted->to_a, attempted->to_b}});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok;
-    rep.detail = "update aborted to force-close";
-  } else if (s.cheat.enabled && s.cheat.state < rep.updates_done) {
-    rep.cheated = true;
-    windows_active = false;
-    ch.set_monitor_online(false);
-    ch.publish_old_commit(s.cheat.cheater, s.cheat.state);
-    env.advance_rounds(s.cheat.victim_offline);
-    ch.set_monitor_online(true);
-    rep.closed = ch.run_until_closed(400);
-    rep.punished = ch.outcome() == generalized::GcOutcome::kPunished;
-    const PartyId victim = other(s.cheat.cheater);
-    const Payout want = victim == PartyId::kA ? Payout{kCapacity, 0} : Payout{0, kCapacity};
-    audit({want});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok && rep.punished;
-    rep.detail = "fraud punished";
-  } else {
-    const bool coop = mix(s.seed, 0xc105eull) % 2 == 0;
-    bool done;
-    if (coop) {
-      done = ch.cooperative_close();
-    } else {
-      ch.force_close(mix(s.seed, 0x1417ull) % 2 == 0 ? PartyId::kA : PartyId::kB);
-      done = ch.run_until_closed(400);
-    }
-    if (!done) done = ch.run_until_closed(400);
-    rep.closed = done;
-    audit({got_stable});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok;
-    rep.detail = coop ? "cooperative close" : "force close";
-  }
-  finish_report(rep, env, o);
-  return rep;
-}
-
-// ---------------------------------------------------------------------------
-// eltoo
-// ---------------------------------------------------------------------------
-
-DrillReport run_eltoo(const FaultSchedule& s, const DrillObs& o) {
-  DrillReport rep;
-  rep.protocol = Protocol::kEltoo;
-  rep.seed = s.seed;
-
-  Environment env(s.delta, crypto::schnorr_scheme());
-  env.set_message_delay_budget(s.delay_budget);
-  ChaosInjector inj(s);
-  env.set_fault_injector(&inj);
-  env.ledger().set_delay_policy(
-      [&inj](const tx::Transaction&, Round d) { return inj.post_delay(0, d); });
-  if (o.sink) env.tracer().add_sink(o.sink);
-
-  channel::ChannelParams params;
-  params.id = "chaos-eltoo-" + std::to_string(s.seed);
-  params.cash_a = kCashA;
-  params.cash_b = kCashB;
-  params.t_punish = s.t_punish;
-
-  eltoo::EltooChannel* chp = nullptr;
-  bool windows_active = true;
-  env.add_round_hook([&env, &s, &chp, &windows_active] {
-    if (!chp || !windows_active) return;
-    const Round r = env.now();
-    bool online = true;
-    for (const DowntimeWindow& w : s.downtime)
-      if (r >= w.start && r < w.start + w.length) online = false;
-    chp->set_monitor_online(online);
-  });
-
-  eltoo::EltooChannel ch(env, params);
-  chp = &ch;
-
-  const Bytes pk_a = to_pub(daricch::DaricKeys::derive("A", params.id + "/eltoo")).main;
-  const Bytes pk_b = to_pub(daricch::DaricKeys::derive("B", params.id + "/eltoo")).main;
-
-  rep.create_ok = ch.create();
-  if (!rep.create_ok) {
-    rep.closed = true;
-    rep.conservation_ok = conserved(env.ledger());
-    rep.payout_ok = true;
-    rep.ok = rep.conservation_ok && !s.cheat.expect_loss;
-    rep.detail = "create aborted";
-    finish_report(rep, env, o);
-    return rep;
-  }
-
-  StateVec stable{kCashA, kCashB, {}};
-  std::optional<StateVec> attempted;
-  bool update_aborted = false;
-  for (std::uint32_t i = 0; i < s.updates; ++i) {
-    const Amount to_a = update_to_a(s.seed, i);
-    const StateVec next{to_a, kCapacity - to_a, {}};
-    attempted = next;
-    if (!ch.update(next)) {
-      update_aborted = true;
-      break;
-    }
-    stable = next;
-    attempted.reset();
-    ++rep.updates_done;
-  }
-
-  auto audit = [&](std::initializer_list<Payout> candidates) {
-    const Payout got{credited(env.ledger(), pk_a), credited(env.ledger(), pk_b)};
-    rep.conservation_ok = conserved(env.ledger());
-    rep.payout_ok = payout_matches(got, candidates);
-  };
-  const Payout got_stable{stable.to_a, stable.to_b};
-
-  if (update_aborted) {
-    rep.closed = ch.run_until_closed(400);
-    audit({got_stable, Payout{attempted->to_a, attempted->to_b}});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok;
-    rep.detail = "update aborted to force-close";
-  } else if (s.cheat.enabled && s.cheat.state < rep.updates_done) {
-    // eltoo has no punishment: the honest monitor overrides the stale
-    // update with the newest one and settles the latest state.
-    rep.cheated = true;
-    windows_active = false;
-    ch.set_monitor_online(false);
-    ch.publish_old_update(s.cheat.cheater, s.cheat.state);
-    env.advance_rounds(s.cheat.victim_offline);
-    ch.set_monitor_online(true);
-    rep.closed = ch.run_until_closed(400);
-    rep.punished = false;
-    const bool overridden =
-        ch.settled_state().has_value() && *ch.settled_state() == rep.updates_done;
-    audit({got_stable});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok && overridden;
-    rep.detail = "stale update overridden";
-  } else {
-    const bool coop = mix(s.seed, 0xc105eull) % 2 == 0;
-    bool done;
-    if (coop) {
-      done = ch.cooperative_close();
-    } else {
-      ch.force_close(mix(s.seed, 0x1417ull) % 2 == 0 ? PartyId::kA : PartyId::kB);
-      done = ch.run_until_closed(400);
-    }
-    if (!done) done = ch.run_until_closed(400);
-    rep.closed = done;
-    audit({got_stable});
-    rep.ok = rep.closed && rep.conservation_ok && rep.payout_ok;
-    rep.detail = coop ? "cooperative close" : "force close";
-  }
-  finish_report(rep, env, o);
-  return rep;
-}
-
-}  // namespace
-
-const char* protocol_name(Protocol p) {
-  switch (p) {
-    case Protocol::kDaric: return "daric";
-    case Protocol::kLightning: return "lightning";
-    case Protocol::kGeneralized: return "generalized";
-    case Protocol::kEltoo: return "eltoo";
-  }
-  return "?";
-}
-
-DrillReport run_drill(Protocol proto, const FaultSchedule& s, const DrillObs& obs) {
-  switch (proto) {
-    case Protocol::kDaric: return run_daric(s, obs);
-    case Protocol::kLightning: return run_lightning(s, obs);
-    case Protocol::kGeneralized: return run_generalized(s, obs);
-    case Protocol::kEltoo: return run_eltoo(s, obs);
-  }
-  return {};
 }
 
 BoundaryReport run_downtime_boundary(Round offline_rounds, Round t_punish, Round delta) {

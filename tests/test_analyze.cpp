@@ -9,6 +9,7 @@
 #include "src/analyze/reach.h"
 #include "src/analyze/lints.h"
 #include "src/analyze/report.h"
+#include "src/channel/registry.h"
 #include "src/crypto/keys.h"
 #include "src/crypto/sha256.h"
 #include "src/daric/scripts.h"
@@ -34,7 +35,7 @@ const auto kB = crypto::derive_keypair("analyze-test/B");
 TEST(AnalyzeEngines, AllFourEnginesLintClean) {
   const verify::Options model;
   const channel::ChannelParams params = analyze::params_for_model(model);
-  for (const std::string& engine : analyze::engine_names()) {
+  for (const std::string& engine : channel::engine_names()) {
     const std::vector<TxTemplate> templates =
         analyze::engine_templates(engine, params, model);
     ASSERT_FALSE(templates.empty()) << engine;
@@ -398,7 +399,7 @@ tx::OutPoint out0(const TxTemplate& t) { return {t.body.txid(), 0}; }
 TEST(AnalyzeGraph, AllSixEnginesGraphClean) {
   const verify::Options model;  // Δ=1, T=3 → bound limit 2
   const channel::ChannelParams params = analyze::params_for_model(model);
-  for (const std::string& engine : analyze::engine_names()) {
+  for (const std::string& engine : channel::engine_names()) {
     Report rep;
     ReachReport rr =
         graph_pass(analyze::engine_templates(engine, params, model), rep,
@@ -546,7 +547,7 @@ void expect_only_auth(const Report& rep, const std::string& id) {
 TEST(AnalyzeAuth, AllSixEnginesAuthClean) {
   const verify::Options model;
   const channel::ChannelParams params = analyze::params_for_model(model);
-  for (const std::string& engine : analyze::engine_names()) {
+  for (const std::string& engine : channel::engine_names()) {
     KnowledgeBase kb;
     std::vector<TxTemplate> templates =
         analyze::engine_templates(engine, params, model, &kb);

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/channel/registry.h"
 #include "src/crypto/sig_scheme.h"
 #include "src/daric/protocol.h"
 #include "src/sim/faults/chaos.h"
@@ -82,10 +83,18 @@ TEST(FaultSchedule, MixIsOrderIndependent) {
 
 // --- Drill determinism and replay ----------------------------------------
 
+/// The engines `daric_chaos --protocol all` sweeps.
+std::vector<const char*> swept_engines() {
+  std::vector<const char*> out;
+  for (const channel::EngineEntry& e : channel::engines())
+    if (e.chaos) out.push_back(e.name);
+  return out;
+}
+
 TEST(ChaosDrill, ReplayIsDeterministic) {
   const FaultSchedule s = generate_schedule(46);
-  const DrillReport r1 = run_drill(Protocol::kDaric, s);
-  const DrillReport r2 = run_drill(Protocol::kDaric, s);
+  const DrillReport r1 = run_drill("daric", s);
+  const DrillReport r2 = run_drill("daric", s);
   EXPECT_EQ(r1.ok, r2.ok);
   EXPECT_EQ(r1.updates_done, r2.updates_done);
   EXPECT_EQ(r1.detail, r2.detail);
@@ -96,12 +105,11 @@ TEST(ChaosDrill, ReplayIsDeterministic) {
 TEST(ChaosDrill, SmallSweepHoldsInvariantsOnAllProtocols) {
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     const FaultSchedule s = generate_schedule(seed);
-    for (Protocol p : {Protocol::kDaric, Protocol::kLightning, Protocol::kGeneralized,
-                       Protocol::kEltoo}) {
+    for (const char* p : swept_engines()) {
       const DrillReport r = run_drill(p, s);
-      EXPECT_TRUE(r.ok) << protocol_name(p) << " seed " << seed << ": " << r.detail;
-      EXPECT_TRUE(r.conservation_ok) << protocol_name(p) << " seed " << seed;
-      EXPECT_FALSE(r.funds_lost) << protocol_name(p) << " seed " << seed;
+      EXPECT_TRUE(r.ok) << p << " seed " << seed << ": " << r.detail;
+      EXPECT_TRUE(r.conservation_ok) << p << " seed " << seed;
+      EXPECT_FALSE(r.funds_lost) << p << " seed " << seed;
     }
   }
 }
@@ -112,10 +120,9 @@ TEST(ChaosRegression, GcAbortScheduleClosesSafelyEverywhere) {
   const std::string text = read_file("gc-abort-regression.sched");
   const FaultSchedule s = parse_schedule(text);
   EXPECT_EQ(to_text(s), text) << "committed schedule must be canonical";
-  for (Protocol p : {Protocol::kDaric, Protocol::kLightning, Protocol::kGeneralized,
-                     Protocol::kEltoo}) {
+  for (const char* p : swept_engines()) {
     const DrillReport r = run_drill(p, s);
-    EXPECT_TRUE(r.ok) << protocol_name(p) << ": " << r.detail;
+    EXPECT_TRUE(r.ok) << p << ": " << r.detail;
   }
 }
 
@@ -125,7 +132,7 @@ TEST(ChaosRegression, OfflineExactlyAtBoundStillPunishes) {
   EXPECT_EQ(to_text(s), text);
   ASSERT_TRUE(s.cheat.enabled);
   EXPECT_EQ(s.cheat.victim_offline, s.t_punish - s.delta);
-  const DrillReport r = run_drill(Protocol::kDaric, s);
+  const DrillReport r = run_drill("daric", s);
   EXPECT_TRUE(r.ok) << r.detail;
   EXPECT_TRUE(r.punished);
   EXPECT_FALSE(r.funds_lost);
@@ -138,7 +145,7 @@ TEST(ChaosRegression, OfflineBeyondBoundDemonstrablyLosesFunds) {
   ASSERT_TRUE(s.cheat.enabled);
   ASSERT_TRUE(s.cheat.expect_loss);
   EXPECT_EQ(s.cheat.victim_offline, s.t_punish - s.delta + 1);
-  const DrillReport r = run_drill(Protocol::kDaric, s);
+  const DrillReport r = run_drill("daric", s);
   EXPECT_TRUE(r.ok) << r.detail;  // ok here MEANS the loss materialized
   EXPECT_TRUE(r.funds_lost);
   EXPECT_FALSE(r.punished);

@@ -1,17 +1,14 @@
-// Properties every one of the six channel engines must keep: each signature
-// on the lifecycle paths goes through the keypair signing path, and a
-// destroyed channel leaves no round hook behind on its Environment.
+// Properties every registry engine must keep, checked through the one
+// channel::Engine interface: each signature on the lifecycle paths goes
+// through the keypair signing path, a destroyed channel leaves no round hook
+// behind on its Environment, and the shared send path retries dropped
+// messages and aborts to force-close when the peer stays silent.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <type_traits>
+#include <stdexcept>
 
-#include "src/cerberus/protocol.h"
-#include "src/daric/protocol.h"
-#include "src/eltoo/protocol.h"
-#include "src/fppw/protocol.h"
-#include "src/generalized/protocol.h"
-#include "src/lightning/protocol.h"
+#include "src/channel/registry.h"
 
 namespace daric {
 namespace {
@@ -54,62 +51,78 @@ class SecretKeySignCounter final : public crypto::SignatureScheme {
   const crypto::SignatureScheme& inner_ = crypto::schnorr_scheme();
 };
 
-template <class Ch>
-std::unique_ptr<Ch> make_channel(sim::Environment& env, const std::string& id) {
+channel::ChannelParams params(const std::string& id) {
   channel::ChannelParams p;
   p.id = id;
   p.cash_a = 500'000;
   p.cash_b = 500'000;
   p.t_punish = 6;
-  if constexpr (std::is_same_v<Ch, cerberus::CerberusChannel>)
-    return std::make_unique<Ch>(env, p, 5'000);
-  else
-    return std::make_unique<Ch>(env, p);
+  return p;
 }
+
+bool conserved(const ledger::Ledger& l) {
+  return l.utxos().total_value() + l.fees_total() == l.minted_total();
+}
+
+/// Drops transmit attempts: each message's first attempt (every other
+/// attempt, starting with the first), or — once `silent` — all of them.
+class DropInjector final : public sim::FaultInjector {
+ public:
+  bool drop_first_attempts = false;
+  bool silent = false;
+
+  sim::MessageAction on_message(Round, PartyId, const std::string&) override {
+    first_ = !first_;
+    if (silent || (drop_first_attempts && first_)) return {sim::MessageFate::kDrop, 0};
+    return {};
+  }
+  Round post_delay(Round, Round) override { return 0; }
+
+ private:
+  bool first_ = false;
+};
 
 enum class Ending { kCooperative, kForce, kRevokedPublish };
 
-/// Ends the channel as asked and runs it until it resolved. A revoked
-/// publish ends punished (eltoo: overridden and settled at the latest state).
-template <class Ch>
-bool end_channel(Ch& ch, Ending ending) {
-  constexpr bool kDaric = std::is_same_v<Ch, daricch::DaricChannel>;
+/// Ends the channel as asked, runs it until it resolved and checks the
+/// verdict. A revoked publish ends punished (eltoo: overridden and settled
+/// at the latest state).
+bool end_channel(channel::Engine& ch, Ending ending) {
   switch (ending) {
-    case Ending::kCooperative:
-      ch.cooperative_close();
-      break;
-    case Ending::kForce:
-      if constexpr (kDaric)
-        ch.party(PartyId::kA).force_close();
-      else
-        ch.force_close(PartyId::kA);
-      break;
-    case Ending::kRevokedPublish:
-      if constexpr (std::is_same_v<Ch, eltoo::EltooChannel>)
-        ch.publish_old_update(PartyId::kA, 0);
-      else
-        ch.publish_old_commit(PartyId::kA, 0);
-      break;
+    case Ending::kCooperative: ch.cooperative_close(PartyId::kA); break;
+    case Ending::kForce: ch.force_close(PartyId::kA); break;
+    case Ending::kRevokedPublish: ch.publish_revoked(PartyId::kA, 0); break;
   }
-  return ch.run_until_closed();
+  if (!ch.run_until_closed()) return false;
+  const channel::Verdict v = ch.verdict();
+  switch (ending) {
+    case Ending::kCooperative: return v == channel::Verdict::kCooperative;
+    case Ending::kForce: return v == channel::Verdict::kForceClosed;
+    case Ending::kRevokedPublish:
+      return v == channel::Verdict::kPunished || v == channel::Verdict::kOverridden;
+  }
+  return false;
 }
 
-template <class Ch>
-class Engines : public ::testing::Test {};
+class Engines : public ::testing::TestWithParam<std::string> {
+ protected:
+  std::unique_ptr<channel::Engine> make(sim::Environment& env, const std::string& id) {
+    return channel::make_engine(GetParam(), env, params(id));
+  }
+};
 
-using EngineTypes =
-    ::testing::Types<daricch::DaricChannel, lightning::LightningChannel, eltoo::EltooChannel,
-                     generalized::GeneralizedChannel, cerberus::CerberusChannel,
-                     fppw::FppwChannel>;
-TYPED_TEST_SUITE(Engines, EngineTypes);
+INSTANTIATE_TEST_SUITE_P(Registry, Engines, ::testing::ValuesIn(channel::engine_names()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
 
 // Create, update, and each of the three endings (punish included) sign
 // only with keypairs: no engine may drift back to the secret-key path.
-TYPED_TEST(Engines, LifecycleNeverSignsWithBareSecretKey) {
+TEST_P(Engines, LifecycleNeverSignsWithBareSecretKey) {
   for (const Ending ending : {Ending::kCooperative, Ending::kForce, Ending::kRevokedPublish}) {
     const SecretKeySignCounter scheme;
     sim::Environment env(kDelta, scheme);
-    auto ch = make_channel<TypeParam>(env, "hot-" + std::to_string(static_cast<int>(ending)));
+    auto ch = make(env, "hot-" + std::to_string(static_cast<int>(ending)));
     ASSERT_TRUE(ch->create());
     ASSERT_TRUE(ch->update(StateVec{450'000, 550'000, {}}));
     ASSERT_TRUE(ch->update(StateVec{300'000, 700'000, {}}));
@@ -121,18 +134,65 @@ TYPED_TEST(Engines, LifecycleNeverSignsWithBareSecretKey) {
 // A channel destroyed while its Environment keeps advancing must take its
 // round hooks with it (a dangling hook is a use-after-free under ASan), and
 // only its own: a second channel on the same Environment still resolves.
-TYPED_TEST(Engines, DestroyedChannelLeavesNoRoundHook) {
+TEST_P(Engines, DestroyedChannelLeavesNoRoundHook) {
   sim::Environment env(kDelta, crypto::schnorr_scheme());
-  auto survivor = make_channel<TypeParam>(env, "hooks-survivor");
+  auto survivor = make(env, "hooks-survivor");
   ASSERT_TRUE(survivor->create());
   {
-    auto gone = make_channel<TypeParam>(env, "hooks-gone");
+    auto gone = make(env, "hooks-gone");
     ASSERT_TRUE(gone->create());
     ASSERT_TRUE(gone->update(StateVec{450'000, 550'000, {}}));
   }
   env.advance_rounds(10);
   ASSERT_TRUE(survivor->update(StateVec{450'000, 550'000, {}}));
   EXPECT_TRUE(end_channel(*survivor, Ending::kForce));
+}
+
+// The shared send path re-sends a dropped message: losing the first attempt
+// of every message costs retries, never the update.
+TEST_P(Engines, DroppedFirstAttemptsAreRetried) {
+  sim::Environment env(kDelta, crypto::schnorr_scheme());
+  DropInjector inj;
+  inj.drop_first_attempts = true;
+  env.set_fault_injector(&inj);
+  auto ch = make(env, "retry");
+  ASSERT_TRUE(ch->create());
+  const obs::Counter& retries = env.metrics().counter(GetParam() + ".msg.retries");
+  const std::uint64_t before = retries.value();
+  ASSERT_TRUE(ch->update(StateVec{450'000, 550'000, {}}));
+  EXPECT_GT(retries.value(), before);
+  EXPECT_EQ(ch->state_number(), 1u);
+  EXPECT_EQ(env.metrics().counter("sim.msg.dropped").value(),
+            env.metrics().counter("sim.msg.delivered").value());
+}
+
+// A peer silent past the retry budget: the update fails and the channel
+// force-closes at the state both parties held before it.
+TEST_P(Engines, SilentPeerAbortsToPreUpdateState) {
+  sim::Environment env(kDelta, crypto::schnorr_scheme());
+  DropInjector inj;
+  env.set_fault_injector(&inj);
+  auto ch = make(env, "silent");
+  ASSERT_TRUE(ch->create());
+  ASSERT_TRUE(ch->update(StateVec{450'000, 550'000, {}}));
+  inj.silent = true;
+  EXPECT_FALSE(ch->update(StateVec{300'000, 700'000, {}}));
+  EXPECT_TRUE(ch->closed());
+  EXPECT_EQ(ch->verdict(), channel::Verdict::kForceClosed);
+  EXPECT_EQ(ch->state_number(), 1u);
+  EXPECT_TRUE(conserved(env.ledger()));
+}
+
+TEST(EngineRegistry, MakesEveryEngineAndRejectsUnknownNames) {
+  sim::Environment env(kDelta, crypto::schnorr_scheme());
+  const std::vector<std::string> names = channel::engine_names();
+  EXPECT_EQ(names.size(), 6u);
+  for (const std::string& name : names) {
+    const auto ch = channel::make_engine(name, env, params("registry-" + name));
+    ASSERT_NE(ch, nullptr) << name;
+    EXPECT_EQ(ch->name(), name);
+  }
+  EXPECT_THROW(channel::make_engine("nosuch", env, params("x")), std::invalid_argument);
 }
 
 TEST(RoundHooks, RemovedWhenDestroyed) {

@@ -352,26 +352,5 @@ TEST(Sinks, JsonlRotationAndSampling) {
   std::remove(obs::JsonlSink::rotated_path(path, 2).c_str());
 }
 
-TEST(MessageLog, RingCapEvictsOldestDeterministically) {
-  sim::MessageLog log;
-  log.set_capacity(3);
-  for (int i = 0; i < 5; ++i)
-    log.record(static_cast<Round>(i), sim::PartyId::kA, "m" + std::to_string(i));
-  EXPECT_EQ(log.count(), 5u);      // total is eviction-proof
-  EXPECT_EQ(log.evicted(), 2u);
-  ASSERT_EQ(log.records().size(), 3u);
-  // Oldest-first iteration over the retained window: m2, m3, m4.
-  int expect = 2;
-  for (const auto& rec : log) EXPECT_EQ(rec.type, "m" + std::to_string(expect++));
-
-  const std::string jsonl = log.to_jsonl();
-  std::size_t lines = 0;
-  for (char c : jsonl)
-    if (c == '\n') ++lines;
-  EXPECT_EQ(lines, 3u);
-  EXPECT_NE(jsonl.find("\"type\":\"m2\""), std::string::npos);
-  EXPECT_EQ(jsonl.find("\"type\":\"m0\""), std::string::npos);
-}
-
 }  // namespace
 }  // namespace daric

@@ -22,8 +22,9 @@
 #             (the default flow skips it with a note unless
 #             DARIC_REQUIRE_TIDY=1 makes the missing binary fatal there too)
 #   --tsan    build with ThreadSanitizer and run the tier-1 suite under it
-#   --trace   observability gate: run daric_trace on canned scenarios and a
-#             chaos schedule replay, then validate every artifact with
+#   --trace   observability gate: run daric_trace on canned scenarios (the
+#             update scenario on every registry engine) and a chaos
+#             schedule replay, then validate every artifact with
 #             tools/validate_trace.py
 #   --obs     telemetry gate: the sharded-registry torture tests under
 #             ThreadSanitizer, a daric_monitor --once smoke run (Theorem-1
@@ -117,6 +118,18 @@ if [[ "$TRACE" == 1 ]]; then
     --jsonl build/trace-replay/trace.jsonl \
     --chrome build/trace-replay/trace_chrome.json \
     --metrics build/trace-replay/metrics.json
+
+  step "update scenario on every registry engine"
+  engines=$(./build/tools/daric_trace --list | sed -n 's/^engines: //p')
+  [[ -n "$engines" ]] || { echo "ERROR: daric_trace --list named no engines" >&2; exit 1; }
+  for engine in $engines; do
+    ./build/tools/daric_trace --engine "$engine" --scenario update \
+      --out "build/trace-update-$engine"
+    python3 tools/validate_trace.py \
+      --jsonl "build/trace-update-$engine/trace.jsonl" \
+      --chrome "build/trace-update-$engine/trace_chrome.json" \
+      --metrics "build/trace-update-$engine/metrics.json"
+  done
 
   echo; echo "check.sh --trace: all trace artifacts valid"
   exit 0

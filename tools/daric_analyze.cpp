@@ -34,16 +34,17 @@
 #include "src/analyze/lints.h"
 #include "src/analyze/reach.h"
 #include "src/analyze/report.h"
+#include "src/channel/registry.h"
 
 namespace {
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--engine daric|lightning|eltoo|generalized|cerberus|fppw]\n"
+               "usage: %s [--engine %s]\n"
                "          [--suppress DAxxx[,DAxxx...]] [--updates N] [--tpunish T]\n"
                "          [--delta D] [--graph] [--auth] [--dot FILE] [--json FILE]\n"
                "          [--list] [--quiet]\n",
-               argv0);
+               argv0, daric::channel::engine_choices().c_str());
 }
 
 std::vector<std::string> split_commas(const std::string& s) {
@@ -99,7 +100,7 @@ int main(int argc, char** argv) {
   using namespace daric;
 
   verify::Options model;  // defaults: Δ=1, T=3, 3 updates
-  std::vector<std::string> engines = analyze::engine_names();
+  std::vector<std::string> engines = channel::engine_names();
   analyze::Report report;
   bool quiet = false;
   bool graph = false;

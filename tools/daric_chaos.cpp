@@ -1,6 +1,6 @@
-// Chaos sweep driver: replays seeded fault schedules against the Daric
-// engine and the Lightning / generalized / eltoo baselines, asserting the
-// funds-security invariants after every run.
+// Chaos sweep driver: replays seeded fault schedules against registry
+// engines (by default the Daric engine and the Lightning / generalized /
+// eltoo baselines), asserting the funds-security invariants after every run.
 //
 //   daric_chaos --sweep N [--seed S0] [--protocol P]   N seeded schedules
 //   daric_chaos --durable-sweep N [--seed S0]          N crash-replay schedules
@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "src/channel/registry.h"
 #include "src/obs/sinks.h"
 #include "src/sim/faults/drill.h"
 #include "src/sim/faults/rng.h"
@@ -33,7 +34,7 @@ using namespace daric;
 using namespace daric::sim::faults;
 
 void print_report(const DrillReport& r) {
-  std::cout << "  " << protocol_name(r.protocol) << ": "
+  std::cout << "  " << r.engine << ": "
             << (r.ok ? "ok" : "FAIL") << " (" << r.detail << ") updates=" << r.updates_done
             << " msgs=" << r.msg_total << " drop=" << r.msg_dropped
             << " delay=" << r.msg_delayed << " dup=" << r.msg_duplicated;
@@ -49,16 +50,15 @@ std::string g_trace_out;
 int g_failure_traces = 0;
 constexpr int kMaxFailureTraces = 5;
 
-void dump_failure_trace(Protocol p, const FaultSchedule& s) {
+void dump_failure_trace(const std::string& engine, const FaultSchedule& s) {
   if (g_trace_out.empty() || g_failure_traces >= kMaxFailureTraces) return;
   ++g_failure_traces;
   using namespace daric;
   obs::CollectSink sink;
   std::string metrics_json;
-  run_drill(p, s, DrillObs{&sink, &metrics_json, nullptr});  // deterministic re-run
+  run_drill(engine, s, DrillObs{&sink, &metrics_json, nullptr});  // deterministic re-run
   std::filesystem::create_directories(g_trace_out);
-  const std::string stem = std::string("fail-") + protocol_name(p) + "-" +
-                           std::to_string(s.seed);
+  const std::string stem = "fail-" + engine + "-" + std::to_string(s.seed);
   const auto base = std::filesystem::path(g_trace_out) / stem;
   obs::write_jsonl(base.string() + ".jsonl", sink.events);
   std::ofstream mout(base.string() + ".metrics.json");
@@ -67,33 +67,32 @@ void dump_failure_trace(Protocol p, const FaultSchedule& s) {
 }
 
 int fail_with_schedule(const FaultSchedule& s, const DrillReport& r) {
-  std::cerr << "chaos: invariant violation on " << protocol_name(r.protocol) << " seed "
-            << s.seed << " (" << r.detail << ")\n"
-            << "Replay with: daric_chaos --replay <file> --protocol "
-            << protocol_name(r.protocol) << "\n--- schedule ---\n"
+  std::cerr << "chaos: invariant violation on " << r.engine << " seed " << s.seed << " ("
+            << r.detail << ")\n"
+            << "Replay with: daric_chaos --replay <file> --protocol " << r.engine
+            << "\n--- schedule ---\n"
             << to_text(s) << "----------------" << std::endl;
-  dump_failure_trace(r.protocol, s);
+  dump_failure_trace(r.engine, s);
   return 1;
 }
 
-std::vector<Protocol> protocols_for(const std::string& name) {
-  if (name == "daric") return {Protocol::kDaric};
-  if (name == "lightning") return {Protocol::kLightning};
-  if (name == "generalized") return {Protocol::kGeneralized};
-  if (name == "eltoo") return {Protocol::kEltoo};
-  if (name == "all")
-    return {Protocol::kDaric, Protocol::kLightning, Protocol::kGeneralized, Protocol::kEltoo};
-  throw std::runtime_error("unknown protocol '" + name + "'");
+/// "all" = every engine the registry marks for the sweep.
+std::vector<std::string> engines_for(const std::string& name) {
+  if (name != "all") return {channel::engine(name).name};
+  std::vector<std::string> out;
+  for (const channel::EngineEntry& e : channel::engines())
+    if (e.chaos) out.emplace_back(e.name);
+  return out;
 }
 
 int run_sweep(std::uint64_t seed0, std::uint64_t count, const std::string& proto,
               bool verbose) {
-  const std::vector<Protocol> protos = protocols_for(proto);
+  const std::vector<std::string> protos = engines_for(proto);
   std::uint64_t runs = 0;
   std::uint64_t cheats = 0, crashes = 0, aborts = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     const FaultSchedule s = generate_schedule(seed0 + i);
-    for (Protocol p : protos) {
+    for (const std::string& p : protos) {
       const DrillReport r = run_drill(p, s);
       ++runs;
       if (verbose) print_report(r);
@@ -139,7 +138,7 @@ int run_durable_sweep(std::uint64_t seed0, std::uint64_t count, bool verbose) {
     }
     s.crashes.assign(1, c);
 
-    const DrillReport r = run_drill(Protocol::kDaric, s);
+    const DrillReport r = run_drill("daric", s);
     ++runs;
     if (verbose) print_report(r);
     if (!r.ok) return fail_with_schedule(s, r);
@@ -172,7 +171,7 @@ int run_replay(const std::string& path, const std::string& proto) {
   if (to_text(s) != buf.str())
     std::cout << "chaos: note: input is not in canonical form (replay still exact)\n";
   bool all_ok = true;
-  for (Protocol p : protocols_for(proto)) {
+  for (const std::string& p : engines_for(proto)) {
     const DrillReport r = run_drill(p, s);
     print_report(r);
     all_ok = all_ok && r.ok;
@@ -233,7 +232,7 @@ int main(int argc, char** argv) {
     else if (a == "--trace-out") g_trace_out = next();
     else {
       std::cerr << "usage: daric_chaos --sweep N [--seed S0] [--protocol "
-                   "daric|lightning|generalized|eltoo|all] [-v] [--trace-out DIR]\n"
+                << daric::channel::engine_choices() << "|all] [-v] [--trace-out DIR]\n"
                    "       daric_chaos --durable-sweep N [--seed S0] [-v]\n"
                    "       daric_chaos --replay FILE [--protocol P]\n"
                    "       daric_chaos --emit SEED\n"

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "src/channel/registry.h"
 #include "src/obs/scenarios.h"
 #include "src/obs/sinks.h"
 #include "src/sim/faults/drill.h"
@@ -89,14 +90,6 @@ int run_scenario_mode(const std::string& engine, const std::string& scenario,
   return ok ? 0 : 1;
 }
 
-Protocol protocol_from(const std::string& name) {
-  if (name == "daric") return Protocol::kDaric;
-  if (name == "lightning") return Protocol::kLightning;
-  if (name == "generalized") return Protocol::kGeneralized;
-  if (name == "eltoo") return Protocol::kEltoo;
-  throw std::runtime_error("unknown protocol '" + name + "'");
-}
-
 int run_replay_mode(const std::string& path, const std::string& proto,
                     const std::filesystem::path& out) {
   std::ifstream in(path);
@@ -111,7 +104,7 @@ int run_replay_mode(const std::string& path, const std::string& proto,
   obs::CollectSink sink;
   std::string metrics_json, metrics_text;
   DrillObs attach{&sink, &metrics_json, &metrics_text};
-  const DrillReport r = run_drill(protocol_from(proto), s, attach);
+  const DrillReport r = run_drill(proto, s, attach);
 
   std::cout << "trace: replay seed " << s.seed << " on " << proto << ": "
             << (r.ok ? "ok" : "FAIL") << " (" << r.detail << ") updates=" << r.updates_done
@@ -143,8 +136,8 @@ int main(int argc, char** argv) {
     else if (a == "--out") out = next();
     else if (a == "--list") list = true;
     else {
-      std::cerr << "usage: daric_trace --engine daric|lightning|eltoo|generalized "
-                   "--scenario update|force-close|htlc [--out DIR]\n"
+      std::cerr << "usage: daric_trace --engine " << daric::channel::engine_choices()
+                << " --scenario update|force-close|htlc [--out DIR]\n"
                    "       daric_trace --replay SCHED_FILE [--protocol P] [--out DIR]\n"
                    "       daric_trace --list"
                 << std::endl;
@@ -155,7 +148,7 @@ int main(int argc, char** argv) {
   try {
     if (list) {
       std::cout << "engines:";
-      for (const auto& e : daric::obs::scenario_engines()) std::cout << ' ' << e;
+      for (const auto& e : daric::channel::engine_names()) std::cout << ' ' << e;
       std::cout << "\nscenarios:";
       for (const auto& s : daric::obs::scenario_names()) std::cout << ' ' << s;
       std::cout << std::endl;
