@@ -378,26 +378,28 @@ void BM_EcdsaVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_EcdsaVerify);
 
-// --- batch verification ----------------------------------------------------
+// --- verification against a precomputed key -------------------------------
 
-std::vector<crypto::SigBatchItem> make_batch(std::size_t n) {
-  std::vector<crypto::SigBatchItem> items;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto kp = crypto::derive_keypair("bench-batch" + std::to_string(i));
-    const Hash256 msg = crypto::Sha256::hash(Bytes{static_cast<Byte>(i), 7});
-    items.push_back({kp.pk, msg, crypto::schnorr_sign(kp.sk, msg)});
+// The counterparty-key path of every Daric update verification; compare
+// against BM_SchnorrVerify for the fixed-base tables' gain.
+void BM_SchnorrVerifyPrecomputed(benchmark::State& state) {
+  const SigFixture f;
+  const crypto::PrecomputedPoint pre(f.kp.pk);
+  if (!crypto::schnorr_verify(pre, f.msg, f.schnorr_sig)) {
+    state.SkipWithError("precomputed verify rejected a valid signature");
+    return;
   }
-  return items;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(crypto::schnorr_verify(pre, f.msg, f.schnorr_sig));
 }
+BENCHMARK(BM_SchnorrVerifyPrecomputed);
 
-// items_per_second is the per-signature throughput; compare against
-// 1/BM_SchnorrVerify to see the batching gain.
-void BM_SchnorrVerifyBatch(benchmark::State& state) {
-  const auto items = make_batch(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(crypto::schnorr_verify_batch(items));
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+// One key's table build: paid three times per party per channel open.
+void BM_PrecomputedPointBuild(benchmark::State& state) {
+  const Point p = Point::mul_gen(bench_scalar("pre/p"));
+  for (auto _ : state) benchmark::DoNotOptimize(crypto::PrecomputedPoint(p));
 }
-BENCHMARK(BM_SchnorrVerifyBatch)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_PrecomputedPointBuild);
 
 }  // namespace
 

@@ -1,6 +1,8 @@
 #include "src/crypto/point.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
@@ -117,8 +119,8 @@ Point from_jac(const Jac& p) {
 bool on_curve(const Fe& x, const Fe& y) { return y.sqr() == x.sqr() * x + Fe(7); }
 
 // vartime: begin (verification-side scalar-multiplication machinery; every
-// scalar reaching this code is public — signature s values, challenge
-// hashes, batch randomizers — so data-dependent timing leaks nothing)
+// scalar reaching this code is public — signature s values and challenge
+// hashes — so data-dependent timing leaks nothing)
 
 // --- wNAF ------------------------------------------------------------------
 
@@ -127,17 +129,34 @@ bool on_curve(const Fe& x, const Fe& y) { return y.sqr() == x.sqr() * x + Fe(7);
 // for the worst case keeps the code uniform (stack space is cheap).
 constexpr int kMaxNafLen = 257;
 
-// Window sizes: 5 for variable points (8-entry table built per call), 7 for
-// precomputed points (32-entry table built once, amortized over many
-// verifies), 11 for the generator halves (512-entry tables built once per
-// process). A width-w NAF has odd digits |d| <= 2^(w-1) - 1, so a table
-// holds 2^(w-2) entries.
+// Fixed-base split: a precomputed verification walks every scalar in
+// kChunkBits-bit chunks, chunk j against a table of 2^(kChunkBits·j) times
+// its base, so the shared doubling chain is one chunk long (~128/kChunks
+// doublings instead of ~130). kChunks·kChunkBits = 128 — the length of a
+// GLV half — so a 256-bit generator scalar is exactly 2·kChunks chunks, and
+// the chunk tables j = 0 and j = kChunks double as the 128-bit-halves
+// tables of the variable-point ladder. Chosen by measurement (DESIGN.md →
+// "Crypto hot path").
+constexpr int kChunks = 4;
+constexpr unsigned kChunkBits = 128 / kChunks;
+constexpr std::uint64_t kChunkMask =
+    kChunkBits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << kChunkBits) - 1;
+// A chunk fits in 64 bits, so its wNAF has at most 65 digits.
+constexpr int kChunkNafLen = 65;
+
+// Window sizes: 5 for variable points (8-entry table built per call) and
+// for precomputed points (kChunks tables of 8 entries and their phi images,
+// built once per key: a wider window saves a few additions per verify but
+// doubles the build, which every channel open pays six times), 11 for the
+// generator (2·kChunks tables of 512 entries built once per process). A
+// width-w NAF has odd digits |d| <= 2^(w-1) - 1, so a table holds 2^(w-2)
+// entries.
 constexpr unsigned kWnafWindowP = 5;
-constexpr unsigned kWnafWindowPre = 7;
+constexpr unsigned kWnafWindowPre = 5;
 constexpr unsigned kWnafWindowG = 11;
-constexpr int kTableSizeP = 1 << (kWnafWindowP - 2);    // odd multiples 1..15
-constexpr int kTableSizePre = 1 << (kWnafWindowPre - 2);  // odd multiples 1..63
-constexpr int kTableSizeG = 1 << (kWnafWindowG - 2);    // odd multiples 1..1023
+constexpr int kTableSizeP = 1 << (kWnafWindowP - 2);      // odd multiples 1..15
+constexpr int kTableSizePre = 1 << (kWnafWindowPre - 2);  // odd multiples 1..15
+constexpr int kTableSizeG = 1 << (kWnafWindowG - 2);      // odd multiples 1..1023
 
 // Computes the width-w NAF of k: k = Σ naf[i]·2^i with every nonzero digit
 // odd and |digit| < 2^(w-1), at most one nonzero in any w consecutive
@@ -157,6 +176,33 @@ int wnaf(std::int16_t* naf, U256 k, unsigned w) {
     }
     naf[len++] = static_cast<std::int16_t>(d);
     k = shr(k, 1);
+  }
+  return len;
+}
+
+// The same recoding for a 64-bit chunk, read window by window with a carry
+// instead of subtracting digits from k: naf[0..kChunkNafLen) must be zero on
+// entry. A run of bits equal to the carry yields zero digits and is skipped
+// in one step; the carry out of the top window lands at position 64 at most.
+int wnaf64(std::int16_t* naf, std::uint64_t k, unsigned w) {
+  const std::uint64_t mask = (std::uint64_t{1} << w) - 1;
+  int len = 0;
+  unsigned bit = 0;
+  unsigned carry = 0;
+  for (;;) {
+    const std::uint64_t rest = bit < 64 ? k >> bit : 0;
+    if (carry == 0) {
+      if (rest == 0) break;
+      bit += static_cast<unsigned>(std::countr_zero(rest));
+    } else {
+      bit += static_cast<unsigned>(std::countr_one(rest));
+    }
+    int word = static_cast<int>(bit < 64 ? (k >> bit) & mask : 0) + static_cast<int>(carry);
+    carry = static_cast<unsigned>(word >> (w - 1)) & 1;
+    word -= static_cast<int>(carry << w);
+    naf[bit] = static_cast<std::int16_t>(word);
+    len = static_cast<int>(bit) + 1;
+    bit += w;
   }
   return len;
 }
@@ -250,27 +296,28 @@ int signed_wnaf(std::int16_t* naf, const U256& k, bool negative, unsigned w) {
 
 // --- Effective-affine odd-multiples table -----------------------------------
 
-// Fills table[0..kTableSizeP) with {1,3,...,15}·P expressed as *affine*
-// points of an isomorphic frame sharing a single global Z (returned), using
-// one doubling, kTableSizeP-1 mixed additions and a few multiplications per
-// entry — and no field inversion (libsecp256k1's "effective affine" trick).
-// A Jacobian result accumulated against these entries is mapped back to the
-// true curve by multiplying its Z by the returned global Z.
-Fe effective_affine_table(AffGe* table, const Point& p) {
-  const Jac d = jac_dbl({p.x(), p.y(), Fe(1), false});  // 2P; never infinity
-  // Rescale P into the frame where d is affine: x·dz², y·dz³.
+// Fills table[0..N) with {1,3,...,2N-1}·base expressed as *affine* points of
+// an isomorphic frame sharing a single global Z (returned), using one
+// doubling, N-1 mixed additions and a few multiplications per entry — and no
+// field inversion (libsecp256k1's "effective affine" trick). A Jacobian
+// result accumulated against these entries is mapped back to the true curve
+// by multiplying its Z by the returned global Z; dividing an entry's x by Z²
+// and y by Z³ gives its true affine coordinates. `base` must not be infinity.
+template <int N>
+Fe effective_affine_table(AffGe* table, const Jac& base) {
+  const Jac d = jac_dbl(base);  // 2·base; never infinity
+  // Rescale base into the frame where d is affine: x·dz², y·dz³.
   const Fe dz2 = d.z.sqr();
   const Fe dz3 = dz2 * d.z;
   const AffGe d_aff{d.x, d.y};
-  Jac entry[kTableSizeP];
-  Fe zr[kTableSizeP];
-  entry[0] = {p.x() * dz2, p.y() * dz3, Fe(1), false};
+  std::array<Jac, N> entry;
+  std::array<Fe, N> zr;
+  entry[0] = {base.x * dz2, base.y * dz3, base.z, false};
   zr[0] = Fe(1);
-  for (int i = 1; i < kTableSizeP; ++i)
-    entry[i] = jac_add_aff(entry[i - 1], d_aff, &zr[i]);
+  for (int i = 1; i < N; ++i) entry[i] = jac_add_aff(entry[i - 1], d_aff, &zr[i]);
   // Backward pass: express entry i as affine w.r.t. the last entry's Z by
   // accumulating the stored Z ratios — multiplications only.
-  const int last = kTableSizeP - 1;
+  const int last = N - 1;
   table[last] = {entry[last].x, entry[last].y};
   table[last].x.normalize_weak();
   table[last].y.normalize_weak();
@@ -300,46 +347,54 @@ void batch_inverse(std::vector<Fe>& v) {
   v[0] = acc;
 }
 
-// --- Generator wNAF tables --------------------------------------------------
+// --- Fixed-base chunk tables ------------------------------------------------
 
-// Fills table[0..n) with the odd multiples {1,3,...,2n-1}·base in true affine
-// coordinates, normalized with a single batched inversion. When `ltable` is
-// non-null it receives the beta-transformed entries (the GLV lambda stream).
-void build_odd_multiples(const Jac& base, GeStorage* table, GeStorage* ltable, int n) {
-  const Jac d = jac_dbl(base);
-  std::vector<Jac> entry(static_cast<std::size_t>(n));
-  entry[0] = base;
-  for (int i = 1; i < n; ++i)
-    entry[static_cast<std::size_t>(i)] = jac_add(entry[static_cast<std::size_t>(i - 1)], d);
-  std::vector<Fe> zs(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) zs[static_cast<std::size_t>(i)] = entry[static_cast<std::size_t>(i)].z;
+// The chunk bases 2^(kChunkBits·j)·P for j = 0..n-1: one doubling chain.
+std::vector<Jac> chunk_bases(const Point& p, int n) {
+  std::vector<Jac> bases(static_cast<std::size_t>(n));
+  bases[0] = to_jac(p);
+  for (std::size_t j = 1; j < bases.size(); ++j) {
+    bases[j] = bases[j - 1];
+    for (unsigned i = 0; i < kChunkBits; ++i) bases[j] = jac_dbl(bases[j]);
+  }
+  return bases;
+}
+
+// Fills tables[j] with the odd multiples {1,3,...,2N-1}·bases[j] in true
+// affine coordinates: one effective-affine chain per base, then a single
+// batched inversion of the frames' Zs across all of them. When `phi` is
+// non-null, phi[j] receives the beta images of tables[j] (the GLV lambda
+// streams).
+template <int N>
+void build_chunk_tables(const std::vector<Jac>& bases, GeStorage (*tables)[N],
+                        GeStorage (*phi)[N]) {
+  std::vector<std::array<AffGe, N>> frames(bases.size());
+  std::vector<Fe> zs(bases.size());
+  for (std::size_t j = 0; j < bases.size(); ++j)
+    zs[j] = effective_affine_table<N>(frames[j].data(), bases[j]);
   batch_inverse(zs);
-  for (int i = 0; i < n; ++i) {
-    const Fe zi2 = zs[static_cast<std::size_t>(i)].sqr();
-    const AffGe g{entry[static_cast<std::size_t>(i)].x * zi2,
-                  entry[static_cast<std::size_t>(i)].y * zi2 * zs[static_cast<std::size_t>(i)]};
-    table[i] = pack(g);
-    if (ltable != nullptr) ltable[i] = pack({glv_beta() * g.x, g.y});
+  for (std::size_t j = 0; j < bases.size(); ++j) {
+    const Fe zi2 = zs[j].sqr();
+    const Fe zi3 = zi2 * zs[j];
+    for (int i = 0; i < N; ++i) {
+      const AffGe e{frames[j][i].x * zi2, frames[j][i].y * zi3};
+      tables[j][i] = pack(e);
+      if (phi != nullptr) phi[j][i] = pack({glv_beta() * e.x, e.y});
+    }
   }
 }
 
-// Generator scalars split exactly as b = b_lo + 2^128·b_hi, each half walked
-// against its own static table (G and 2^128·G), so the generator streams fit
-// the same ~130-doubling chain as the GLV-split variable point.
+// Odd multiples of 2^(kChunkBits·j)·G for the 2·kChunks chunks of a
+// generator scalar, built once per process.
 struct GenTables {
-  GeStorage lo[kTableSizeG];  // odd multiples of G
-  GeStorage hi[kTableSizeG];  // odd multiples of 2^128·G
+  GeStorage t[2 * kChunks][kTableSizeG];
 };
 
 const GenTables& gen_wnaf_tables() {
   static GenTables t;
   static std::once_flag once;
   std::call_once(once, [] {
-    const Jac g = to_jac(Point::generator());
-    build_odd_multiples(g, t.lo, nullptr, kTableSizeG);
-    Jac h = g;
-    for (int i = 0; i < 128; ++i) h = jac_dbl(h);
-    build_odd_multiples(h, t.hi, nullptr, kTableSizeG);
+    build_chunk_tables<kTableSizeG>(chunk_bases(Point::generator(), 2 * kChunks), t.t, nullptr);
   });
   return t;
 }
@@ -349,8 +404,8 @@ const GenTables& gen_wnaf_tables() {
 // a·P + b·G in Jacobian coordinates (true frame). One shared doubling chain
 // of ~130 iterations: the GLV split turns a·P into two half-length streams
 // over P's width-5 effective-affine table and its phi-image, and b is split
-// bitwise into 128-bit halves over the two static generator tables (rescaled
-// on the fly into P's isomorphic frame).
+// bitwise into 128-bit halves over the generator chunk tables of G and
+// 2^128·G (rescaled on the fly into P's isomorphic frame).
 Jac strauss_jac(const Scalar& a, const Point& p, const Scalar& b) {
   std::int16_t naf_p1[kMaxNafLen], naf_p2[kMaxNafLen];
   std::int16_t naf_g1[kMaxNafLen], naf_g2[kMaxNafLen];
@@ -362,7 +417,7 @@ Jac strauss_jac(const Scalar& a, const Point& p, const Scalar& b) {
     const GlvSplit sp = glv_split(a);
     len_p1 = signed_wnaf(naf_p1, sp.k1, sp.neg1, kWnafWindowP);
     len_p2 = signed_wnaf(naf_p2, sp.k2, sp.neg2, kWnafWindowP);
-    global_z = effective_affine_table(ptable, p);
+    global_z = effective_affine_table<kTableSizeP>(ptable, to_jac(p));
     // phi(m·P) = (beta·x, y) commutes with the isomorphic frame's scaling,
     // so the phi table is valid in the same frame.
     const Fe& beta = glv_beta();
@@ -396,54 +451,78 @@ Jac strauss_jac(const Scalar& a, const Point& p, const Scalar& b) {
     acc = jac_dbl(acc);
     if (i < len_p1 && naf_p1[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(ptable, naf_p1[i]));
     if (i < len_p2 && naf_p2[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(ltable, naf_p2[i]));
-    if (i < len_g1 && naf_g1[i] != 0) acc = add_gen(acc, gt->lo, naf_g1[i]);
-    if (i < len_g2 && naf_g2[i] != 0) acc = add_gen(acc, gt->hi, naf_g2[i]);
+    if (i < len_g1 && naf_g1[i] != 0) acc = add_gen(acc, gt->t[0], naf_g1[i]);
+    if (i < len_g2 && naf_g2[i] != 0) acc = add_gen(acc, gt->t[kChunks], naf_g2[i]);
   }
   if (have_p && !acc.infinity) acc.z = acc.z * global_z;
   return acc;
 }
 
-// Backing store of a PrecomputedPoint: wide odd-multiples tables for P and
-// phi(P) in true affine coordinates (so results need no frame correction and
-// the entries mix freely with the generator tables and with per-call tables
-// normalized by multi_mul's batched inversion).
+// Backing store of a PrecomputedPoint: tab[j] holds the odd multiples of
+// 2^(kChunkBits·j)·P and tab[kChunks + j] their phi images, in true affine
+// coordinates (so they mix freely with the generator tables).
 struct PreTablesData {
   Point p;
-  GeStorage tab[kTableSizePre];
-  GeStorage ltab[kTableSizePre];
+  GeStorage tab[2 * kChunks][kTableSizePre];
 };
 
-// a·(±P) + b·G over a precomputed true-affine table: same interleaved ladder
-// as strauss_jac minus the per-call table build and the isomorphic-frame
-// bookkeeping. `sign` is +1 when the target equals the table's base point
-// and -1 for its negation (a·(−P) = (−a)·P, so both GLV digit streams flip).
-Jac strauss_pre_jac(const Scalar& a, const PreTablesData& pt, int sign, const Scalar& b) {
-  std::int16_t naf_p1[kMaxNafLen], naf_p2[kMaxNafLen];
-  std::int16_t naf_g1[kMaxNafLen], naf_g2[kMaxNafLen];
-  int len_p1 = 0, len_p2 = 0, len_g1 = 0, len_g2 = 0;
+// Bits [lo, lo + 64) of k; bits past 255 read as zero.
+std::uint64_t bits64(const U256& k, unsigned lo) {
+  const unsigned l = lo / 64;
+  const unsigned s = lo % 64;
+  std::uint64_t v = k.limb[l] >> s;
+  if (s != 0 && l + 1 < 4) v |= k.limb[l + 1] << (64 - s);
+  return v;
+}
+
+// a·P + b·G over P's precomputed chunk tables: the GLV halves of a are
+// walked as kChunks chunks each and b as 2·kChunks chunks, every chunk
+// against the table of its own 2^(kChunkBits·j) multiple, so all 4·kChunks
+// streams share one doubling chain of ~kChunkBits steps.
+Jac strauss_pre_jac(const Scalar& a, const PreTablesData& pt, const Scalar& b) {
+  struct Stream {
+    const GeStorage* table;
+    int len;
+    std::int16_t naf[kChunkNafLen];
+  };
+  Stream streams[4 * kChunks];
+  int n = 0;
+  int top = 0;
+  const auto add_stream = [&](const GeStorage* table, std::uint64_t chunk, unsigned w,
+                              bool negative) {
+    Stream& s = streams[n];
+    std::fill(std::begin(s.naf), std::end(s.naf), std::int16_t{0});
+    s.len = wnaf64(s.naf, chunk, w);
+    if (s.len == 0) return;
+    if (negative)
+      for (int i = 0; i < s.len; ++i) s.naf[i] = static_cast<std::int16_t>(-s.naf[i]);
+    s.table = table;
+    top = std::max(top, s.len);
+    ++n;
+  };
   if (!a.is_zero()) {
-    GlvSplit sp = glv_split(a);
-    if (sign < 0) {
-      sp.neg1 = !sp.neg1;
-      sp.neg2 = !sp.neg2;
+    const GlvSplit sp = glv_split(a);
+    // The last chunk carries every bit above (kChunks-1)·kChunkBits. A GLV
+    // half is below 0.64·2^128 (DESIGN.md), so it fits in 64 bits.
+    constexpr unsigned kLast = (kChunks - 1) * kChunkBits;
+    for (unsigned j = 0; j < kChunks; ++j) {
+      const unsigned lo = j * kChunkBits;
+      const std::uint64_t mask = lo == kLast ? ~std::uint64_t{0} : kChunkMask;
+      add_stream(pt.tab[j], bits64(sp.k1, lo) & mask, kWnafWindowPre, sp.neg1);
+      add_stream(pt.tab[kChunks + j], bits64(sp.k2, lo) & mask, kWnafWindowPre, sp.neg2);
     }
-    len_p1 = signed_wnaf(naf_p1, sp.k1, sp.neg1, kWnafWindowPre);
-    len_p2 = signed_wnaf(naf_p2, sp.k2, sp.neg2, kWnafWindowPre);
   }
   if (!b.is_zero()) {
-    const U256& bv = b.raw();
-    len_g1 = wnaf(naf_g1, U256{bv.limb[0], bv.limb[1], 0, 0}, kWnafWindowG);
-    len_g2 = wnaf(naf_g2, U256{bv.limb[2], bv.limb[3], 0, 0}, kWnafWindowG);
+    const GenTables& gt = gen_wnaf_tables();
+    for (unsigned j = 0; j < 2 * kChunks; ++j)
+      add_stream(gt.t[j], bits64(b.raw(), j * kChunkBits) & kChunkMask, kWnafWindowG, false);
   }
-  const GenTables* gt = (len_g1 > 0 || len_g2 > 0) ? &gen_wnaf_tables() : nullptr;
   Jac acc;
-  const int top = std::max(std::max(len_p1, len_p2), std::max(len_g1, len_g2));
   for (int i = top - 1; i >= 0; --i) {
     acc = jac_dbl(acc);
-    if (i < len_p1 && naf_p1[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(pt.tab, naf_p1[i]));
-    if (i < len_p2 && naf_p2[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(pt.ltab, naf_p2[i]));
-    if (i < len_g1 && naf_g1[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(gt->lo, naf_g1[i]));
-    if (i < len_g2 && naf_g2[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(gt->hi, naf_g2[i]));
+    for (int k = 0; k < n; ++k)
+      if (i < streams[k].len && streams[k].naf[i] != 0)
+        acc = jac_add_aff(acc, wnaf_lookup(streams[k].table, streams[k].naf[i]));
   }
   return acc;
 }
@@ -507,7 +586,8 @@ struct PrecomputedPoint::Impl {
 PrecomputedPoint::PrecomputedPoint(const Point& p) : impl_(std::make_unique<Impl>()) {
   if (p.is_infinity()) throw std::invalid_argument("PrecomputedPoint of infinity");
   impl_->d.p = p;
-  build_odd_multiples(to_jac(p), impl_->d.tab, impl_->d.ltab, kTableSizePre);
+  build_chunk_tables<kTableSizePre>(chunk_bases(p, kChunks), impl_->d.tab,
+                                    impl_->d.tab + kChunks);
 }
 
 PrecomputedPoint::~PrecomputedPoint() = default;
@@ -602,120 +682,8 @@ bool Point::mul_add_matches_vartime(const Scalar& a, const Point& p, const Scala
 
 bool Point::mul_add_matches_vartime(const Scalar& a, const PrecomputedPoint& p, const Scalar& b,
                                     const Fe& x, bool y_odd) {
-  return jac_matches(strauss_pre_jac(a, p.impl_->d, 1, b), x, y_odd);
+  return jac_matches(strauss_pre_jac(a, p.impl_->d, b), x, y_odd);
 }
-
-// vartime: begin (batch verification — signatures and randomizers are public)
-bool Point::multi_mul_is_infinity_vartime(std::span<const Scalar> coeffs,
-                                          std::span<const Point> points,
-                                          const Scalar& gen_coeff) {
-  return multi_mul_is_infinity_vartime(coeffs, points, {}, gen_coeff);
-}
-
-bool Point::multi_mul_is_infinity_vartime(std::span<const Scalar> coeffs,
-                                          std::span<const Point> points,
-                                          std::span<const PrecomputedPoint* const> pres,
-                                          const Scalar& gen_coeff) {
-  if (coeffs.size() != points.size())
-    throw std::invalid_argument("multi_mul: size mismatch");
-  if (!pres.empty() && pres.size() != points.size())
-    throw std::invalid_argument("multi_mul: pres size mismatch");
-  // One ladder term per active (nonzero) input. A term walks either a
-  // caller-supplied precomputed table (width-7, possibly with flipped digit
-  // signs when the input is the table base's negation) or a fresh width-5
-  // table built below.
-  struct LadderTerm {
-    const GeStorage* tab = nullptr;   // odd multiples of the base point
-    const GeStorage* ltab = nullptr;  // beta-transformed (GLV lambda stream)
-    unsigned w = kWnafWindowP;
-    int sign = 1;
-    std::size_t input = 0;  // index into coeffs/points
-  };
-  std::vector<LadderTerm> terms;
-  std::vector<std::size_t> fresh;  // active inputs without a usable table
-  terms.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (points[i].is_infinity() || coeffs[i].is_zero()) continue;
-    LadderTerm t;
-    t.input = i;
-    const PrecomputedPoint* pre = pres.empty() ? nullptr : pres[i];
-    if (pre != nullptr && pre->impl_->d.p.x() == points[i].x() &&
-        (pre->impl_->d.p.y() == points[i].y() || pre->impl_->d.p.y() == points[i].y().neg())) {
-      t.tab = pre->impl_->d.tab;
-      t.ltab = pre->impl_->d.ltab;
-      t.w = kWnafWindowPre;
-      t.sign = pre->impl_->d.p.y() == points[i].y() ? 1 : -1;
-    } else {
-      fresh.push_back(terms.size());
-    }
-    terms.push_back(t);
-  }
-
-  // Fresh per-point odd-multiples tables, converted to true affine with a
-  // single batched inversion across the whole call; each point also gets the
-  // beta-transformed table for its GLV lambda-stream.
-  std::vector<std::array<AffGe, kTableSizeP>> frames(fresh.size());
-  std::vector<std::array<GeStorage, kTableSizeP>> tables(fresh.size());
-  std::vector<std::array<GeStorage, kTableSizeP>> ltables(fresh.size());
-  std::vector<Fe> zs(fresh.size());
-  for (std::size_t j = 0; j < fresh.size(); ++j)
-    zs[j] = effective_affine_table(frames[j].data(), points[terms[fresh[j]].input]);
-  batch_inverse(zs);
-  const Fe& beta = glv_beta();
-  for (std::size_t j = 0; j < fresh.size(); ++j) {
-    const Fe zi2 = zs[j].sqr();
-    const Fe zi3 = zi2 * zs[j];
-    for (std::size_t t = 0; t < kTableSizeP; ++t) {
-      const AffGe e{frames[j][t].x * zi2, frames[j][t].y * zi3};
-      tables[j][t] = pack(e);
-      ltables[j][t] = pack({beta * e.x, e.y});
-    }
-    terms[fresh[j]].tab = tables[j].data();
-    terms[fresh[j]].ltab = ltables[j].data();
-  }
-
-  // Two half-length wNAF streams per term (GLV split).
-  std::vector<std::array<std::int16_t, kMaxNafLen>> nafs1(terms.size());
-  std::vector<std::array<std::int16_t, kMaxNafLen>> nafs2(terms.size());
-  std::vector<int> lens1(terms.size());
-  std::vector<int> lens2(terms.size());
-  int max_len = 0;
-  for (std::size_t j = 0; j < terms.size(); ++j) {
-    GlvSplit sp = glv_split(coeffs[terms[j].input]);
-    if (terms[j].sign < 0) {
-      sp.neg1 = !sp.neg1;
-      sp.neg2 = !sp.neg2;
-    }
-    lens1[j] = signed_wnaf(nafs1[j].data(), sp.k1, sp.neg1, terms[j].w);
-    lens2[j] = signed_wnaf(nafs2[j].data(), sp.k2, sp.neg2, terms[j].w);
-    max_len = std::max({max_len, lens1[j], lens2[j]});
-  }
-  std::int16_t naf_g1[kMaxNafLen];
-  std::int16_t naf_g2[kMaxNafLen];
-  int len_g1 = 0, len_g2 = 0;
-  if (!gen_coeff.is_zero()) {
-    const U256& gv = gen_coeff.raw();
-    len_g1 = wnaf(naf_g1, U256{gv.limb[0], gv.limb[1], 0, 0}, kWnafWindowG);
-    len_g2 = wnaf(naf_g2, U256{gv.limb[2], gv.limb[3], 0, 0}, kWnafWindowG);
-    max_len = std::max({max_len, len_g1, len_g2});
-  }
-  const GenTables* gt = (len_g1 > 0 || len_g2 > 0) ? &gen_wnaf_tables() : nullptr;
-
-  Jac acc;
-  for (int i = max_len - 1; i >= 0; --i) {
-    acc = jac_dbl(acc);
-    for (std::size_t j = 0; j < terms.size(); ++j) {
-      if (i < lens1[j] && nafs1[j][static_cast<std::size_t>(i)] != 0)
-        acc = jac_add_aff(acc, wnaf_lookup(terms[j].tab, nafs1[j][static_cast<std::size_t>(i)]));
-      if (i < lens2[j] && nafs2[j][static_cast<std::size_t>(i)] != 0)
-        acc = jac_add_aff(acc, wnaf_lookup(terms[j].ltab, nafs2[j][static_cast<std::size_t>(i)]));
-    }
-    if (i < len_g1 && naf_g1[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(gt->lo, naf_g1[i]));
-    if (i < len_g2 && naf_g2[i] != 0) acc = jac_add_aff(acc, wnaf_lookup(gt->hi, naf_g2[i]));
-  }
-  return acc.infinity;
-}
-// vartime: end
 
 Point Point::mul_ladder_vartime(const Point& p, const Scalar& k) {
   if (p.is_infinity() || k.is_zero()) return {};

@@ -5,9 +5,10 @@
 //     odd multiples (no field inversion anywhere on the path);
 //   * k·G uses a fixed 4-bit-window precomputed generator table (signing
 //     side — access pattern independent of which window entries are hit);
-//   * verification uses Strauss–Shamir interleaving (`mul_add_*_vartime`)
-//     and, for many signatures, one multi-scalar ladder
-//     (`multi_mul_is_infinity_vartime`).
+//   * verification uses Strauss–Shamir interleaving (`mul_add_*_vartime`);
+//     against a PrecomputedPoint every scalar is also split into chunks
+//     over fixed-base tables, so the shared doubling chain is a quarter as
+//     long.
 // The `_vartime` suffix marks functions whose running time depends on their
 // scalar inputs; they must only ever see public data (signatures, challenge
 // scalars, public keys).
@@ -15,7 +16,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 
 #include "src/crypto/field.h"
 #include "src/crypto/scalar.h"
@@ -65,28 +65,12 @@ class Point {
   static bool mul_add_matches_vartime(const Scalar& a, const Point& p, const Scalar& b,
                                       const Fe& x, bool y_odd);
 
-  /// Same check against a key whose odd-multiples table was precomputed
-  /// once (e.g. a channel counterparty's fixed key). Skips the per-call
-  /// table build entirely. Variable time.
+  /// Same check against a key whose fixed-base tables were precomputed once
+  /// (e.g. a channel counterparty's fixed key). Skips the per-call table
+  /// build, and walks a, split by GLV, and b in short chunks over the
+  /// tables of their power-of-two multiples. Variable time.
   static bool mul_add_matches_vartime(const Scalar& a, const PrecomputedPoint& p,
                                       const Scalar& b, const Fe& x, bool y_odd);
-
-  /// Whether Σ coeffs[i]·points[i] + gen_coeff·G is the point at infinity —
-  /// the core of batch signature verification. One shared doubling chain,
-  /// per-point wNAF tables normalized with a single batched inversion.
-  /// Variable time; requires coeffs.size() == points.size().
-  static bool multi_mul_is_infinity_vartime(std::span<const Scalar> coeffs,
-                                            std::span<const Point> points,
-                                            const Scalar& gen_coeff);
-
-  /// Batch MSM variant taking an optional precomputed table per point
-  /// (`pres` empty, or one entry per point, nullptr where none exists; a
-  /// table also serves the point's negation). Points with a table skip both
-  /// the per-call table build and the shared normalization inversion.
-  static bool multi_mul_is_infinity_vartime(std::span<const Scalar> coeffs,
-                                            std::span<const Point> points,
-                                            std::span<const PrecomputedPoint* const> pres,
-                                            const Scalar& gen_coeff);
 
   /// Naive left-to-right double-and-add ladder. Kept as the benchmark
   /// baseline and as an independent cross-check oracle for the wNAF paths.
@@ -102,11 +86,13 @@ class Point {
   bool infinity_ = true;
 };
 
-/// A point with a wide (width-7) true-affine odd-multiples wNAF table built
-/// once up front. Worth building for keys that verify many signatures over
-/// their lifetime — a channel counterparty's fixed keys — where it removes
-/// the per-verify effective-affine table construction from the ladder.
-/// Movable, not copyable (the table is large and sharing is intentional).
+/// A point with fixed-base true-affine odd-multiples wNAF tables built once
+/// up front: one for each power-of-two multiple 2^(s·j)·P that a chunk of a
+/// GLV half-scalar is walked against, plus their GLV endomorphism images.
+/// Worth building for keys that verify many signatures over their lifetime —
+/// a channel counterparty's fixed keys — where it removes the per-verify
+/// table construction and most of the doublings from the ladder. Movable,
+/// not copyable (the tables are large and sharing is intentional).
 class PrecomputedPoint {
  public:
   explicit PrecomputedPoint(const Point& p);

@@ -1,7 +1,5 @@
 #include "src/crypto/schnorr.h"
 
-#include <vector>
-
 #include "src/crypto/rfc6979.h"
 #include "src/crypto/sha256.h"
 
@@ -88,75 +86,6 @@ bool schnorr_verify(const PrecomputedPoint& pk, const Hash256& msg, BytesView si
   if (!split_sig(sig, w)) return false;
   const Scalar e = challenge(sig.subspan(0, 33), pk.point().compressed(), msg);
   return Point::mul_add_matches_vartime(e.neg(), pk, w.s, w.rx, w.r_odd);
-}
-
-namespace {
-
-// Per-item randomizer: 128 bits from a hash of the whole batch and the item
-// index. Synthetic randomness in the BIP340 style — an adversary would have
-// to find signatures satisfying the combined equation for coefficients that
-// are themselves a hash of those signatures.
-Scalar batch_randomizer(const Hash256& seed, std::uint32_t index) {
-  Bytes data(seed.view().begin(), seed.view().end());
-  for (int shift = 24; shift >= 0; shift -= 8)
-    data.push_back(static_cast<Byte>(index >> shift));
-  static const Sha256 kPrefix = Sha256::tagged_init("daric/batch-randomizer");
-  const Hash256 h = Sha256(kPrefix).update(data).finalize();
-  Bytes half(32, 0);
-  std::copy(h.view().begin(), h.view().begin() + 16, half.begin() + 16);
-  return Scalar::from_be_bytes_reduce(half);
-}
-
-}  // namespace
-
-bool schnorr_verify_batch(std::span<const SigBatchItem> items) {
-  if (items.empty()) return true;
-  if (items.size() == 1) {
-    const SigBatchItem& it = items[0];
-    if (it.pre != nullptr) return schnorr_verify(*it.pre, it.msg, it.sig);
-    return schnorr_verify(it.pk, it.msg, it.sig);
-  }
-
-  Sha256 seed_hash;
-  std::vector<Bytes> pk_bytes;
-  pk_bytes.reserve(items.size());
-  for (const SigBatchItem& it : items) {
-    if (it.sig.size() != kSchnorrSigSize || it.pk.is_infinity()) return false;
-    pk_bytes.push_back(it.pk.compressed());
-    seed_hash.update(it.sig);
-    seed_hash.update(pk_bytes.back());
-    seed_hash.update(it.msg.view());
-  }
-  const Hash256 seed = seed_hash.finalize();
-
-  std::vector<Scalar> coeffs;
-  std::vector<Point> points;
-  std::vector<const PrecomputedPoint*> pres;
-  coeffs.reserve(2 * items.size());
-  points.reserve(2 * items.size());
-  pres.reserve(2 * items.size());
-  Scalar g_coeff(0);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const SigBatchItem& it = items[i];
-    const auto r = Point::from_compressed(BytesView(it.sig).subspan(0, 33));
-    if (!r) return false;
-    const U256 sv = U256::from_be_bytes(BytesView(it.sig).subspan(33));
-    if (sv >= Scalar::order()) return false;
-    const Scalar s = Scalar::from_u256(sv);
-    const Scalar e = challenge(BytesView(it.sig).subspan(0, 33), pk_bytes[i], it.msg);
-    const Scalar a = i == 0 ? Scalar(1) : batch_randomizer(seed, static_cast<std::uint32_t>(i));
-    g_coeff = g_coeff + a * s;
-    // Negate the points, not the coefficients: aᵢ stays 128 bits wide. A
-    // precomputed table still serves the negated key — the MSM flips the
-    // digit signs.
-    coeffs.push_back(a);
-    points.push_back(r->neg());
-    pres.push_back(nullptr);
-    coeffs.push_back(a * e);
-    points.push_back(it.pk.neg());
-    pres.push_back(it.pre);
-  }
-  return Point::multi_mul_is_infinity_vartime(coeffs, points, pres, g_coeff);
 }
 
 }  // namespace daric::crypto

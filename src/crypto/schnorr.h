@@ -24,18 +24,10 @@ Bytes schnorr_sign(const KeyPair& kp, const Hash256& msg);
 
 bool schnorr_verify(const Point& pk, const Hash256& msg, BytesView sig);
 
-/// Verifies against a key with a precomputed multiplication table (a channel
-/// counterparty's fixed key); skips the per-verify wNAF table build.
+/// Verifies against a key with precomputed fixed-base tables (a channel
+/// counterparty's fixed key): no per-verify table build, and a doubling
+/// chain a quarter as long.
 bool schnorr_verify(const PrecomputedPoint& pk, const Hash256& msg, BytesView sig);
-
-/// Batch verification via a random linear combination: with per-item
-/// randomizers aᵢ (a₀ = 1), all signatures are valid iff
-///   (Σ aᵢ·sᵢ)·G − Σ aᵢ·Rᵢ − Σ (aᵢ·eᵢ)·Pᵢ = ∞
-/// except with negligible probability. Randomizers are synthetic (derived
-/// by hashing the whole batch), so the check is deterministic. One shared
-/// multi-scalar ladder makes the per-signature cost well below a single
-/// verification's.
-bool schnorr_verify_batch(std::span<const SigBatchItem> items);
 
 /// Challenge scalar e = H(R || P || m); exposed for the adaptor variant.
 Scalar schnorr_challenge(const Point& r, const Point& pk, const Hash256& msg);

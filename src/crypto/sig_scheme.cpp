@@ -25,10 +25,6 @@ class SchnorrScheme final : public SignatureScheme {
     return schnorr_verify(pre, msg, sig);
   }
   bool supports_adaptor() const override { return true; }
-  bool supports_batch_verify() const override { return true; }
-  bool verify_batch(std::span<const SigBatchItem> items) const override {
-    return schnorr_verify_batch(items);
-  }
 };
 
 class EcdsaScheme final : public SignatureScheme {
@@ -70,7 +66,9 @@ bool SignatureScheme::verify_cached(const PrecomputedPoint& pre, const Hash256& 
 
 bool SignatureScheme::verify_batch(std::span<const SigBatchItem> items) const {
   for (const SigBatchItem& it : items)
-    if (!verify(it.pk, it.msg, it.sig)) return false;
+    if (!(it.pre != nullptr ? verify_cached(*it.pre, it.msg, it.sig)
+                            : verify(it.pk, it.msg, it.sig)))
+      return false;
   return true;
 }
 

@@ -17,9 +17,8 @@
 namespace daric::crypto {
 
 /// One (public key, message, raw signature) item of a batch verification.
-/// `pre`, when set, is a precomputed multiplication table for `pk` (non-owning;
-/// must outlive the batch call) that lets the scheme skip the per-key wNAF
-/// table build inside the shared ladder.
+/// `pre`, when set, holds precomputed tables for `pk` (non-owning; must
+/// outlive the batch call): the item is then checked with verify_cached.
 struct SigBatchItem {
   Point pk;
   Hash256 msg;
@@ -48,11 +47,14 @@ class SignatureScheme {
   /// Whether Schnorr-style adaptor signatures exist for this scheme.
   virtual bool supports_adaptor() const = 0;
 
-  /// Whether verify_batch is cheaper than one verify per item.
+  /// Whether verify_batch is cheaper than one verify per item. No built-in
+  /// scheme batches: at the 2–3 items a Daric flush holds, single verifies
+  /// against precomputed keys win (DESIGN.md → "Deferred batch
+  /// verification").
   virtual bool supports_batch_verify() const { return false; }
-  /// Verifies every item; the default checks them one by one. A true result
-  /// means all signatures are valid; schemes with real batching (Schnorr's
-  /// random-linear-combination check) amortize the ladder across items.
+  /// Verifies every item, one by one — through verify_cached when the item
+  /// carries a precomputed table. A true result means all signatures are
+  /// valid.
   virtual bool verify_batch(std::span<const SigBatchItem> items) const;
 };
 

@@ -40,9 +40,9 @@ bool verify_wire_cached(const tx::SighashCache& cache, SighashFlag flag,
 }
 
 /// Structurally decodes `wire` and queues the claim it asserts for deferred
-/// batch verification against `pre`'s key. Returns false on a malformed
+/// verification against `pre`'s key. Returns false on a malformed
 /// signature or flag mismatch — callers treat that exactly like a failed
-/// verification. The curve check happens when the batch is flushed.
+/// verification. The curve check happens when the queue is flushed.
 bool queue_wire(std::vector<crypto::SigBatchItem>& batch, const tx::SighashCache& cache,
                 SighashFlag flag, const crypto::PrecomputedPoint& pre, BytesView wire,
                 const crypto::SignatureScheme& scheme) {
@@ -75,11 +75,12 @@ void emit_closed(sim::Environment& env, obs::Counter* closed,
 // ---------------------------------------------------------------------------
 
 DaricParty::DaricParty(PartyId id, const channel::ChannelParams& params, sim::Environment& env,
-                       tx::OutPoint funding_source, crypto::KeyPair funding_key)
+                       crypto::KeyPair funding_key)
     : id_(id),
       params_(params),
       env_(env),
-      funding_source_(funding_source),
+      funding_source_(env.ledger().mint(id == PartyId::kA ? params.cash_a : params.cash_b,
+                                        tx::Condition::p2wpkh(funding_key.pk.compressed()))),
       funding_key_(std::move(funding_key)),
       keys_(DaricKeys::derive(sim::party_name(id), params.id)),
       pub_own_(to_pub(keys_)) {
@@ -133,7 +134,7 @@ const DaricParty::PeerTables& DaricParty::peer_tables() const {
       return crypto::PrecomputedPoint(*p);
     };
     peer_.emplace(PeerTables{table(pub_other_.main), table(pub_other_.sp),
-                             table(pub_other_.rv), table(pub_other_.rv2)});
+                             table(id_ == PartyId::kA ? pub_other_.rv2 : pub_other_.rv)});
   }
   return *peer_;
 }
@@ -310,11 +311,6 @@ void DaricParty::force_close() {
 
 namespace {
 
-tx::OutPoint mint_funding_source(sim::Environment& env, Amount value,
-                                 const crypto::KeyPair& key) {
-  return env.ledger().mint(value, tx::Condition::p2wpkh(key.pk.compressed()));
-}
-
 crypto::KeyPair funding_keypair(const channel::ChannelParams& p, PartyId id) {
   return crypto::derive_keypair(p.id + "/" + sim::party_name(id) + "/funding-source");
 }
@@ -324,12 +320,8 @@ crypto::KeyPair funding_keypair(const channel::ChannelParams& p, PartyId id) {
 DaricChannel::DaricChannel(sim::Environment& env, channel::ChannelParams params)
     : Engine(env, "daric", 200),
       params_(std::move(params)),
-      a_(PartyId::kA, params_, env,
-         mint_funding_source(env, params_.cash_a, funding_keypair(params_, PartyId::kA)),
-         funding_keypair(params_, PartyId::kA)),
-      b_(PartyId::kB, params_, env,
-         mint_funding_source(env, params_.cash_b, funding_keypair(params_, PartyId::kB)),
-         funding_keypair(params_, PartyId::kB)),
+      a_(PartyId::kA, params_, env, funding_keypair(params_, PartyId::kA)),
+      b_(PartyId::kB, params_, env, funding_keypair(params_, PartyId::kB)),
       tcache_(params_, a_.pub_own_, b_.pub_own_) {
   params_.validate(env_.delta());
   hooks_.add([this] { a_.on_round(); });
@@ -367,9 +359,9 @@ bool DaricChannel::create() {
   const Bytes cm_a_sig_b =  // B's signature on [TX^A_CM,0]
       tx::sign_input(commits.body_a, 0, b_.keys_.main, scheme, SighashFlag::kAll, &sh_cm_a);
 
-  // Step 4: both verify what they received — each party batches its two
-  // checks (one multi-scalar multiplication instead of two when the scheme
-  // supports batching; the default falls back to sequential verifies).
+  // Step 4: both verify what they received — each party queues its two
+  // checks and flushes them with one verify_batch call (single verifies
+  // against its precomputed peer tables).
   std::vector<crypto::SigBatchItem> batch_a, batch_b;
   if (!queue_wire(batch_a, sh_split, SighashFlag::kAllAnyPrevOut, a_.peer_tables().sp, sp_sig_b,
                   scheme) ||
@@ -627,10 +619,6 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
                          const DaricParty& owner) -> const crypto::KeyPair& {
     return owner.id_ == PartyId::kA ? signer.keys_.rv2 : signer.keys_.rv;
   };
-  auto rv_verify_pre = [&](const DaricParty& verifier,
-                           const DaricParty& owner) -> const crypto::PrecomputedPoint& {
-    return owner.id_ == PartyId::kA ? verifier.peer_tables().rv2 : verifier.peer_tables().rv;
-  };
 
   // Message 5: revokeP (P → Q): P's signature on [TX^Q_RV,i].
   //
@@ -647,7 +635,7 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
 
   // Q's flush point: promotion Γ' → Γ (and message 6, Q's own revocation)
   // must only happen on fully verified material.
-  if (!queue_wire(batch_q, sh_rv_q, rv_flag, rv_verify_pre(q, q), rv_q_sig_p, scheme) ||
+  if (!queue_wire(batch_q, sh_rv_q, rv_flag, q.peer_tables().rv, rv_q_sig_p, scheme) ||
       !timed_flush(batch_q)) {
     reset_gamma_prime(q);
     q.force_close();
@@ -683,7 +671,7 @@ bool DaricChannel::update(const channel::StateVec& next, PartyId proposer) {
 
   // P's batch flushed at message 4, so Γ'^P is fully verified: on failure
   // here force_close correctly posts the new commit (agreed state i+1).
-  if (!verify_wire_cached(sh_rv_p, rv_flag, rv_verify_pre(p, p), rv_p_sig_q, scheme)) {
+  if (!verify_wire_cached(sh_rv_p, rv_flag, p.peer_tables().rv, rv_p_sig_q, scheme)) {
     p.force_close();
     run_until_closed();
     return false;

@@ -53,8 +53,10 @@ struct Behavior {
 
 class DaricParty {
  public:
+  /// Mints the party's funding source (its side of the capacity, P2WPKH to
+  /// `funding_key`) on the environment's ledger.
   DaricParty(sim::PartyId id, const channel::ChannelParams& params, sim::Environment& env,
-             tx::OutPoint funding_source, crypto::KeyPair funding_key);
+             crypto::KeyPair funding_key);
 
   sim::PartyId id() const { return id_; }
   const DaricKeys& keys() const { return keys_; }
@@ -118,11 +120,13 @@ class DaricParty {
     bool complete() const { return !sig_a.empty() && !sig_b.empty(); }
   };
 
-  /// Precomputed wNAF tables for the counterparty's four fixed keys. Every
-  /// update-path verification targets one of these, so the per-verification
+  /// Precomputed tables for the three counterparty keys this party verifies
+  /// against. Every update-path verification targets one of these, so the
   /// table build (and the 33-byte point decompression) amortizes to zero.
+  /// `rv` is the revocation key guarding this party's own commits: rv2 for
+  /// A, rv for B (Appendix B).
   struct PeerTables {
-    crypto::PrecomputedPoint main, sp, rv, rv2;
+    crypto::PrecomputedPoint main, sp, rv;
   };
   /// Lazily built from pub_other_ on first use (pub_other_ is only known
   /// after createInfo).

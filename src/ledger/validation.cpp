@@ -32,15 +32,15 @@ TxError validate_transaction(const tx::Transaction& t, const ValidationContext& 
   }
 
   // Rule 2: input and witness validity. Sighash prefixes are shared across
-  // inputs through a per-transaction cache, and P2WPKH signature checks are
-  // deferred into one batch verification when the scheme supports it (P2WPKH
-  // carries exactly one signature with fixed semantics; P2WSH scripts may
-  // branch on CHECKSIG results, so they always verify inline).
+  // inputs through a per-transaction cache. P2WPKH signature checks are
+  // deferred until every input has been found, so a missing input is
+  // reported ahead of a bad signature (P2WPKH carries exactly one signature
+  // with fixed semantics; P2WSH scripts may branch on CHECKSIG results, so
+  // they always verify inline).
   if (t.inputs.empty()) return TxError::kMissingInput;
   Amount in_sum = 0;
   std::unordered_set<tx::OutPoint, tx::OutPointHasher> spent;
   const tx::SighashCache sighash_cache(t);
-  const bool batch = ctx.scheme.supports_batch_verify();
   std::vector<crypto::SigBatchItem> deferred;
   for (std::size_t i = 0; i < t.inputs.size(); ++i) {
     const tx::OutPoint& op = t.inputs[i].prevout;
@@ -48,25 +48,14 @@ TxError validate_transaction(const tx::Transaction& t, const ValidationContext& 
     const auto utxo = ctx.utxos.find(op);
     if (!utxo) return TxError::kMissingInput;
     const Round age = ctx.now - utxo->recorded_round;
-    bool claimed = false;
-    if (batch) {
-      if (auto claim = tx::p2wpkh_sig_claim(t, i, utxo->output, ctx.scheme, sighash_cache)) {
-        deferred.push_back(std::move(*claim));
-        claimed = true;
-      }
-    }
-    if (!claimed &&
-        tx::verify_input(t, i, utxo->output, ctx.scheme, age, &sighash_cache) !=
-            script::ScriptError::kOk)
+    if (auto claim = tx::p2wpkh_sig_claim(t, i, utxo->output, ctx.scheme, sighash_cache))
+      deferred.push_back(std::move(*claim));
+    else if (tx::verify_input(t, i, utxo->output, ctx.scheme, age, &sighash_cache) !=
+             script::ScriptError::kOk)
       return TxError::kBadWitness;
     in_sum += utxo->output.cash;
   }
-  if (deferred.size() == 1) {
-    if (!ctx.scheme.verify(deferred[0].pk, deferred[0].msg, deferred[0].sig))
-      return TxError::kBadWitness;
-  } else if (!deferred.empty()) {
-    if (!ctx.scheme.verify_batch(deferred)) return TxError::kBadWitness;
-  }
+  if (!deferred.empty() && !ctx.scheme.verify_batch(deferred)) return TxError::kBadWitness;
 
   // Rule 4: value validity.
   if (t.total_output_value() > in_sum) return TxError::kValueNotConserved;

@@ -46,7 +46,6 @@ class Environment {
   Round now() const { return ledger_.now(); }
   Round delta() const { return ledger_.delta(); }
   const crypto::SignatureScheme& scheme() const { return ledger_.scheme(); }
-  const DeliveryQueue& delivery_queue() const { return queue_; }
 
   /// The run's event tracer (null/disabled by default). Instrumentation
   /// that builds attribute strings must guard on tracer().enabled().
@@ -133,7 +132,7 @@ class Environment {
                      {obs::Attr::s("fate", message_fate_name(fate)),
                       obs::Attr::s("type", type)});
     }
-    if (copies > 0) queue_.push({deliver, from, type, copies});
+    if (copies > 0) queue_.push({deliver, copies});
     int arrived = 0;
     while (now() < deliver) {
       advance_round();

@@ -46,12 +46,10 @@ class DeliveryQueue {
  public:
   struct InFlight {
     Round deliver_round = 0;
-    PartyId from = PartyId::kA;
-    std::string type;
     int copies = 1;
   };
 
-  void push(InFlight m) { in_flight_.push_back(std::move(m)); }
+  void push(InFlight m) { in_flight_.push_back(m); }
 
   /// Removes and returns the number of copies of messages due at `now`
   /// (0 if nothing is due yet).
@@ -67,8 +65,6 @@ class DeliveryQueue {
     }
     return copies;
   }
-
-  std::size_t pending() const { return in_flight_.size(); }
 
  private:
   std::deque<InFlight> in_flight_;

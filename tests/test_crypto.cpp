@@ -679,6 +679,85 @@ TEST(MulCrossCheck, MulAddEqualsMatchesExplicitComputation) {
   }
 }
 
+// mul_add_matches_vartime against a PrecomputedPoint (the chunked fixed-base
+// ladder) must name exactly the point the variable-point ladder computes:
+// its x with its parity, and nothing for an infinite result.
+void expect_precomputed_agrees(const Point& p, const crypto::PrecomputedPoint& pre,
+                               const Scalar& a, const Scalar& b, const std::string& what) {
+  const Point r = Point::mul_add_vartime(a, p, b);
+  if (r.is_infinity()) {
+    EXPECT_FALSE(Point::mul_add_matches_vartime(a, pre, b, Point::generator().x(), false)) << what;
+    EXPECT_FALSE(Point::mul_add_matches_vartime(a, pre, b, Point::generator().x(), true)) << what;
+    return;
+  }
+  EXPECT_TRUE(Point::mul_add_matches_vartime(a, pre, b, r.x(), r.y().is_odd())) << what;
+  EXPECT_FALSE(Point::mul_add_matches_vartime(a, pre, b, r.x(), !r.y().is_odd())) << what;
+}
+
+Scalar scalar_hex(std::string_view hex) { return Scalar::from_u256(U256::from_hex(hex)); }
+
+TEST(MulCrossCheck, PrecomputedSplitLadder) {
+  for (int i = 0; i < 1000; ++i) {
+    const Point p = Point::mul_gen(sweep_scalar("split-p", i));
+    const crypto::PrecomputedPoint pre(p);
+    expect_precomputed_agrees(p, pre, sweep_scalar("split-a", i), sweep_scalar("split-b", i),
+                              "i=" + std::to_string(i));
+  }
+
+  const Point p = Point::mul_gen(sweep_scalar("split-edge-p", 0));
+  const crypto::PrecomputedPoint pre(p);
+  const Scalar minus_one = Scalar(1).neg();
+  for (const Scalar& b : {Scalar(0), Scalar(1), minus_one})
+    expect_precomputed_agrees(p, pre, Scalar(0), b, "a=0");
+  expect_precomputed_agrees(p, pre, Scalar(1), Scalar(0), "a=1 b=0");
+  expect_precomputed_agrees(p, pre, minus_one, Scalar(0), "a=n-1 b=0");
+  // a·P = −b·G: the ladder must reach infinity.
+  expect_precomputed_agrees(p, pre, Scalar(1), sweep_scalar("split-edge-p", 0).neg(), "a·P=-b·G");
+
+  // Every power-of-two boundary, so each chunk edge of the generator scalar
+  // (and of any chunk width) sees 2^k − 1, 2^k and 2^k + 1.
+  for (unsigned k = 0; k < 256; ++k) {
+    U256 pow2{};
+    pow2.limb[k / 64] = std::uint64_t{1} << (k % 64);
+    const Scalar t = Scalar::from_u256(pow2);
+    for (const Scalar& d : {Scalar(1).neg(), Scalar(0), Scalar(1)})
+      expect_precomputed_agrees(p, pre, t + d, t - d, "k=" + std::to_string(k));
+  }
+
+  // The same boundaries inside the GLV halves: a = k1 + k2·λ with
+  // k1, k2 = ±(2^m ± 1), small enough that the split returns them as is.
+  const Scalar lambda =
+      scalar_hex("5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72");
+  for (unsigned m = 0; m < 125; ++m) {
+    U256 pow2{};
+    pow2.limb[m / 64] = std::uint64_t{1} << (m % 64);
+    const Scalar t = Scalar::from_u256(pow2);
+    for (const Scalar& d : {Scalar(1).neg(), Scalar(0), Scalar(1)}) {
+      const Scalar k1 = t + d;
+      const Scalar k2 = t - d;
+      expect_precomputed_agrees(p, pre, k1 + k2 * lambda, t, "m=" + std::to_string(m));
+      expect_precomputed_agrees(p, pre, k1.neg() + k2 * lambda, t, "m=" + std::to_string(m));
+      expect_precomputed_agrees(p, pre, k1 - k2 * lambda, t, "m=" + std::to_string(m));
+    }
+  }
+
+  // Scalars whose GLV halves sit at the edge of their range with each sign:
+  // found by sampling the split, they give halves (k1, k2)/2^128 of about
+  // (0.635, −0.350), (−0.635, 0.349), (0.446, 0.540), (−0.441, −0.539),
+  // (0.446, 0.541) and (−0.635, 0.351). Neighbours ±1 and ±λ move the
+  // halves by one unit.
+  for (const char* hex : {"baa1f4f6be40172ceadc2a134ea7651ceb714e7c9e44c9b790ecdf5a092e4c65",
+                          "bf0b4d28c98bce3db74156561de4420ea49b8dce53ac9408a0a1ea1c1dafd598",
+                          "a77810b00703a51e376a7631e3e97bab448b99f746cb086ae50d9bc7857ef894",
+                          "e26ea9d747aa55d3009bc269cec872368c2bfde363d06d4f2ca437d95f3cc5a2",
+                          "2d9cad8185a53ed2a315a09790e0aaf68aa4c10e550be4c6d0b42d6f9e539206",
+                          "37d72528c37941833575c521aabaa570d48d8bb8e5677189c31bfc75c792868e"}) {
+    const Scalar k = scalar_hex(hex);
+    for (const Scalar& a : {k, k + Scalar(1), k - Scalar(1), k + lambda, k - lambda, k.neg()})
+      expect_precomputed_agrees(p, pre, a, sweep_scalar("split-edge-b", 0), hex);
+  }
+}
+
 std::vector<crypto::SigBatchItem> make_batch(int n) {
   std::vector<crypto::SigBatchItem> items;
   for (int i = 0; i < n; ++i) {
@@ -690,11 +769,11 @@ std::vector<crypto::SigBatchItem> make_batch(int n) {
 }
 
 TEST(SchnorrBatch, AcceptsValidBatch) {
-  EXPECT_TRUE(crypto::schnorr_verify_batch({}));
+  EXPECT_TRUE(crypto::schnorr_scheme().verify_batch({}));
   const auto one = make_batch(1);
-  EXPECT_TRUE(crypto::schnorr_verify_batch(one));
+  EXPECT_TRUE(crypto::schnorr_scheme().verify_batch(one));
   const auto items = make_batch(16);
-  EXPECT_TRUE(crypto::schnorr_verify_batch(items));
+  EXPECT_TRUE(crypto::schnorr_scheme().verify_batch(items));
 }
 
 TEST(SchnorrBatch, RejectsSingleFlippedBit) {
@@ -704,7 +783,7 @@ TEST(SchnorrBatch, RejectsSingleFlippedBit) {
     for (const std::size_t byte : {std::size_t{1}, std::size_t{40}, std::size_t{64}}) {
       auto tampered = items;
       tampered[victim].sig[byte] ^= 0x01;
-      EXPECT_FALSE(crypto::schnorr_verify_batch(tampered))
+      EXPECT_FALSE(crypto::schnorr_scheme().verify_batch(tampered))
           << "victim=" << victim << " byte=" << byte;
     }
   }
@@ -714,10 +793,10 @@ TEST(SchnorrBatch, RejectsWrongMessageAndSwappedKeys) {
   auto items = make_batch(4);
   auto wrong_msg = items;
   wrong_msg[2].msg = crypto::Sha256::hash(str_bytes("not the signed message"));
-  EXPECT_FALSE(crypto::schnorr_verify_batch(wrong_msg));
+  EXPECT_FALSE(crypto::schnorr_scheme().verify_batch(wrong_msg));
   auto swapped = items;
   std::swap(swapped[0].pk, swapped[1].pk);
-  EXPECT_FALSE(crypto::schnorr_verify_batch(swapped));
+  EXPECT_FALSE(crypto::schnorr_scheme().verify_batch(swapped));
 }
 
 TEST(Schnorr, KeyPairSignVerifies) {
@@ -751,23 +830,24 @@ TEST(Schnorr, PrecomputedVerifyMatchesPlain) {
 TEST(SchnorrBatch, PrecomputedTablesGiveSameVerdict) {
   auto items = make_batch(5);
   // Attach tables to a subset of the keys — the batch path must serve mixed
-  // precomputed/fresh entries (and the negated-key lookup inside).
+  // precomputed/plain entries.
   std::vector<std::unique_ptr<crypto::PrecomputedPoint>> tables;
   for (const std::size_t i : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
     tables.push_back(std::make_unique<crypto::PrecomputedPoint>(items[i].pk));
     items[i].pre = tables.back().get();
   }
-  EXPECT_TRUE(crypto::schnorr_verify_batch(items));
+  EXPECT_TRUE(crypto::schnorr_scheme().verify_batch(items));
   auto tampered = items;
   tampered[2].sig[17] ^= 0x20;
-  EXPECT_FALSE(crypto::schnorr_verify_batch(tampered));
+  EXPECT_FALSE(crypto::schnorr_scheme().verify_batch(tampered));
   const std::span<const crypto::SigBatchItem> one(items.data() + 2, 1);
-  EXPECT_TRUE(crypto::schnorr_verify_batch(one));  // n==1 precomputed path
+  EXPECT_TRUE(crypto::schnorr_scheme().verify_batch(one));  // n==1 precomputed path
 }
 
 TEST(SchnorrBatch, SchemeInterfaceRoutesBatches) {
+  // Schnorr no longer batches: the scheme interface checks items one by one.
   const auto& schnorr = crypto::schnorr_scheme();
-  ASSERT_TRUE(schnorr.supports_batch_verify());
+  ASSERT_FALSE(schnorr.supports_batch_verify());
   auto items = make_batch(5);
   EXPECT_TRUE(schnorr.verify_batch(items));
   items[1].sig[10] ^= 0x80;

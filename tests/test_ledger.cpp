@@ -83,9 +83,8 @@ TEST_F(LedgerTest, Rule2BadWitnessRejected) {
   EXPECT_EQ(ledger_.post_result(t.txid()), TxError::kBadWitness);
 }
 
-// Multi-input P2WPKH spends take the deferred batch-verification path
-// (schnorr supports batch verify); the verdict must match per-input
-// verification for both valid and tampered witnesses.
+// Multi-input P2WPKH spends take the deferred verification path; the verdict
+// must match per-input verification for both valid and tampered witnesses.
 TEST_F(LedgerTest, MultiInputBatchVerifiedSpendAccepted) {
   std::vector<tx::OutPoint> ops;
   for (int i = 0; i < 4; ++i)
@@ -123,6 +122,27 @@ TEST_F(LedgerTest, MultiInputBatchRejectsOneTamperedSignature) {
   ledger_.advance_rounds(3);
   EXPECT_EQ(ledger_.post_result(t.txid()), TxError::kBadWitness);
   for (const auto& op : ops) EXPECT_TRUE(ledger_.is_unspent(op));
+}
+
+// P2WPKH signatures are checked only after every input was found, so a
+// transaction whose first input carries a bad signature and whose second
+// input does not exist is rejected for the missing input.
+TEST_F(LedgerTest, MissingInputReportedBeforeBadSignature) {
+  const tx::OutPoint op = ledger_.mint(1000, tx::Condition::p2wpkh(kOwner.pk.compressed()));
+  const tx::OutPoint bogus{crypto::Sha256::hash(Bytes{9, 9}), 0};
+  tx::Transaction t;
+  t.inputs = {{op}, {bogus}};
+  t.outputs = {{1000, tx::Condition::p2wpkh(kOther.pk.compressed())}};
+  t.witnesses.resize(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Bytes sig =
+        tx::sign_input(t, i, kOther.sk, crypto::schnorr_scheme(), SighashFlag::kAll);  // wrong key
+    t.witnesses[i].stack = {sig, kOwner.pk.compressed()};
+  }
+  ledger_.post(t);
+  ledger_.advance_rounds(3);
+  EXPECT_EQ(ledger_.post_result(t.txid()), TxError::kMissingInput);
+  EXPECT_TRUE(ledger_.is_unspent(op));
 }
 
 TEST_F(LedgerTest, Rule3ZeroValueOutputRejected) {
