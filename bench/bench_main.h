@@ -5,9 +5,16 @@
 // build, which used to leak into the committed BENCH_*.json files.
 // "daric_build_type" is derived from the translation unit's NDEBUG, so it
 // tracks the actual optimization state of the measured code.
+// "verify_pool_workers" is the number of threads verify_batch fans out to
+// besides the caller, so a reader can check that threads never outnumber
+// the recorded cores.
 #pragma once
 
 #include <benchmark/benchmark.h>
+
+#include <string>
+
+#include "src/crypto/sig_scheme.h"
 
 #ifdef NDEBUG
 #define DARIC_BUILD_TYPE "release"
@@ -18,6 +25,9 @@
 #define DARIC_BENCHMARK_MAIN()                                        \
   int main(int argc, char** argv) {                                   \
     benchmark::AddCustomContext("daric_build_type", DARIC_BUILD_TYPE); \
+    benchmark::AddCustomContext(                                      \
+        "verify_pool_workers",                                        \
+        std::to_string(daric::crypto::verify_pool_workers()));        \
     benchmark::Initialize(&argc, argv);                               \
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \
     benchmark::RunSpecifiedBenchmarks();                              \

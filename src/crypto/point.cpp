@@ -581,11 +581,14 @@ const GenTable& gen_table() {
 
 struct PrecomputedPoint::Impl {
   PreTablesData d;
+  std::array<Byte, 33> compressed;
 };
 
 PrecomputedPoint::PrecomputedPoint(const Point& p) : impl_(std::make_unique<Impl>()) {
   if (p.is_infinity()) throw std::invalid_argument("PrecomputedPoint of infinity");
   impl_->d.p = p;
+  const Bytes enc = p.compressed();
+  std::copy(enc.begin(), enc.end(), impl_->compressed.begin());
   build_chunk_tables<kTableSizePre>(chunk_bases(p, kChunks), impl_->d.tab,
                                     impl_->d.tab + kChunks);
 }
@@ -595,6 +598,7 @@ PrecomputedPoint::PrecomputedPoint(PrecomputedPoint&&) noexcept = default;
 PrecomputedPoint& PrecomputedPoint::operator=(PrecomputedPoint&&) noexcept = default;
 
 const Point& PrecomputedPoint::point() const { return impl_->d.p; }
+BytesView PrecomputedPoint::compressed() const { return impl_->compressed; }
 
 Point Point::generator() {
   static const Point g = from_affine(

@@ -103,6 +103,8 @@ class PrecomputedPoint {
   PrecomputedPoint& operator=(const PrecomputedPoint&) = delete;
 
   const Point& point() const;
+  /// point().compressed(), encoded once at construction.
+  BytesView compressed() const;
 
  private:
   friend class Point;

@@ -84,7 +84,7 @@ bool schnorr_verify(const Point& pk, const Hash256& msg, BytesView sig) {
 bool schnorr_verify(const PrecomputedPoint& pk, const Hash256& msg, BytesView sig) {
   WireSig w;
   if (!split_sig(sig, w)) return false;
-  const Scalar e = challenge(sig.subspan(0, 33), pk.point().compressed(), msg);
+  const Scalar e = challenge(sig.subspan(0, 33), pk.compressed(), msg);
   return Point::mul_add_matches_vartime(e.neg(), pk, w.s, w.rx, w.r_odd);
 }
 

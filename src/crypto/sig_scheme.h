@@ -26,6 +26,8 @@ struct SigBatchItem {
   const PrecomputedPoint* pre = nullptr;
 };
 
+/// Every verifying member (verify, verify_cached) must be safe to call
+/// from several threads at once: verify_batch runs them on its workers.
 class SignatureScheme {
  public:
   virtual ~SignatureScheme() = default;
@@ -52,11 +54,21 @@ class SignatureScheme {
   /// against precomputed keys win (DESIGN.md → "Deferred batch
   /// verification").
   virtual bool supports_batch_verify() const { return false; }
-  /// Verifies every item, one by one — through verify_cached when the item
-  /// carries a precomputed table. A true result means all signatures are
-  /// valid.
+  /// Verifies every item — through verify_cached when the item carries a
+  /// precomputed table. A true result means all signatures are valid. A
+  /// batch of two or more items fans out over a process-wide pool of
+  /// worker threads, the calling thread verifying too; the call returns
+  /// only once every item it started has finished, so no thread touches
+  /// `items` afterwards. Batches of 0 or 1 item, calls made while the pool
+  /// serves another batch and processes allowed a single CPU verify item
+  /// by item on the calling thread.
   virtual bool verify_batch(std::span<const SigBatchItem> items) const;
 };
+
+/// Worker threads behind verify_batch, fixed when the pool is first used:
+/// one less than the CPUs the creating thread may run on, at most 2 (a
+/// Daric flush holds at most 3 items). Calling it creates the pool.
+std::size_t verify_pool_workers();
 
 /// Process-wide singletons.
 const SignatureScheme& schnorr_scheme();

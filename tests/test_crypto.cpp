@@ -1,9 +1,14 @@
 // Unit tests for the from-scratch crypto substrate.
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <memory>
 #include <random>
 #include <span>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "src/crypto/adaptor.h"
 #include "src/crypto/ct.h"
@@ -866,6 +871,187 @@ TEST(SchnorrBatch, SchemeInterfaceRoutesBatches) {
   EXPECT_TRUE(ecdsa.verify_batch(eitems));
   eitems[2].sig[5] ^= 0x01;
   EXPECT_FALSE(ecdsa.verify_batch(eitems));
+}
+
+// --- Parallel batch verification ----------------------------------------------
+// verify_batch fans a batch out over the process-wide worker pool. Every case
+// holds with and without worker threads (e.g. under `taskset -c 0`).
+
+// The verdict of the item-by-item loop verify_batch replaced.
+bool serial_verdict(const crypto::SignatureScheme& scheme,
+                    std::span<const crypto::SigBatchItem> items) {
+  for (const crypto::SigBatchItem& it : items)
+    if (!(it.pre != nullptr ? scheme.verify_cached(*it.pre, it.msg, it.sig)
+                            : scheme.verify(it.pk, it.msg, it.sig)))
+      return false;
+  return true;
+}
+
+std::vector<crypto::SigBatchItem> signed_batch(const crypto::SignatureScheme& scheme, int n,
+                                               const std::string& tag) {
+  std::vector<crypto::SigBatchItem> items;
+  for (int i = 0; i < n; ++i) {
+    const auto kp = crypto::derive_keypair(tag + "/key" + std::to_string(i));
+    const Hash256 msg = crypto::Sha256::hash(str_bytes(tag + "/msg" + std::to_string(i)));
+    items.push_back({kp.pk, msg, scheme.sign(kp.sk, msg)});
+  }
+  return items;
+}
+
+void forge(crypto::SigBatchItem& it) { it.sig[40] ^= 0x01; }
+
+TEST(VerifyBatch, VerdictMatchesSerialLoopWithForgeryAtEachPosition) {
+  const auto& scheme = crypto::schnorr_scheme();
+  for (int n = 0; n <= 8; ++n) {
+    const auto items = signed_batch(scheme, n, "vb-size" + std::to_string(n));
+    EXPECT_TRUE(serial_verdict(scheme, items));
+    EXPECT_TRUE(scheme.verify_batch(items)) << "n=" << n;
+    for (int bad = 0; bad < n; ++bad) {
+      auto forged = items;
+      forge(forged[bad]);
+      EXPECT_FALSE(serial_verdict(scheme, forged));
+      EXPECT_FALSE(scheme.verify_batch(forged)) << "n=" << n << " forged=" << bad;
+    }
+  }
+}
+
+TEST(VerifyBatch, MixesPrecomputedAndPlainItemsForBothSchemes) {
+  for (const crypto::SignatureScheme* scheme :
+       {&crypto::schnorr_scheme(), &crypto::ecdsa_scheme()}) {
+    for (int n = 2; n <= 5; ++n) {
+      auto items = signed_batch(*scheme, n, scheme->name() + "-mix" + std::to_string(n));
+      std::vector<crypto::PrecomputedPoint> tables;
+      tables.reserve(items.size());
+      for (std::size_t i = 0; i < items.size(); i += 2) {
+        tables.emplace_back(items[i].pk);
+        items[i].pre = &tables.back();
+      }
+      EXPECT_TRUE(scheme->verify_batch(items)) << scheme->name() << " n=" << n;
+      for (int bad = 0; bad < n; ++bad) {
+        auto forged = items;
+        forge(forged[bad]);
+        EXPECT_FALSE(scheme->verify_batch(forged))
+            << scheme->name() << " n=" << n << " forged=" << bad;
+      }
+    }
+  }
+}
+
+TEST(VerifyBatch, ConcurrentCallersOnDistinctBatches) {
+  const auto& scheme = crypto::schnorr_scheme();
+  constexpr int kThreads = 4;
+  std::vector<std::vector<crypto::SigBatchItem>> good, bad;
+  for (int t = 0; t < kThreads; ++t) {
+    good.push_back(signed_batch(scheme, 2 + t, "vb-thread" + std::to_string(t)));
+    bad.push_back(good.back());
+    forge(bad.back()[static_cast<std::size_t>(t) % bad.back().size()]);
+  }
+  int wrong[kThreads] = {};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 10; ++round) {
+        if (!scheme.verify_batch(good[t])) ++wrong[t];
+        if (scheme.verify_batch(bad[t])) ++wrong[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(wrong[t], 0) << "thread " << t;
+}
+
+TEST(VerifyBatch, PoolNeverOutnumbersCores) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  const std::size_t workers = crypto::verify_pool_workers();
+  EXPECT_LE(workers, 2u);
+  EXPECT_LT(workers, static_cast<std::size_t>(CPU_COUNT(&allowed)));
+}
+
+// A scheme whose verify throws on one poisoned message; it keeps the
+// default verify_batch, so the pool runs its verify on worker threads.
+class ThrowingScheme final : public crypto::SignatureScheme {
+ public:
+  explicit ThrowingScheme(Hash256 poison) : poison_(poison) {}
+  std::string name() const override { return inner_.name(); }
+  std::size_t signature_size() const override { return inner_.signature_size(); }
+  Bytes sign(const Scalar& sk, const Hash256& msg) const override { return inner_.sign(sk, msg); }
+  bool verify(const Point& pk, const Hash256& msg, BytesView sig) const override {
+    if (msg == poison_) throw std::runtime_error("poisoned item");
+    return inner_.verify(pk, msg, sig);
+  }
+  bool supports_adaptor() const override { return false; }
+
+ private:
+  const crypto::SignatureScheme& inner_ = crypto::schnorr_scheme();
+  Hash256 poison_;
+};
+
+TEST(VerifyBatch, ExceptionFromAnyItemReachesTheCaller) {
+  const auto items = signed_batch(crypto::schnorr_scheme(), 4, "vb-throw");
+  for (const crypto::SigBatchItem& victim : items) {
+    const ThrowingScheme scheme(victim.msg);
+    EXPECT_THROW(scheme.verify_batch(items), std::runtime_error);
+  }
+  // The pool is free again afterwards.
+  EXPECT_TRUE(crypto::schnorr_scheme().verify_batch(items));
+}
+
+// A scheme whose every verify makes a batch call of its own while the pool is
+// busy with the outer one: the inner call must verify serially, not wait.
+class NestingScheme final : public crypto::SignatureScheme {
+ public:
+  explicit NestingScheme(std::span<const crypto::SigBatchItem> inner_batch)
+      : inner_batch_(inner_batch) {}
+  std::string name() const override { return inner_.name(); }
+  std::size_t signature_size() const override { return inner_.signature_size(); }
+  Bytes sign(const Scalar& sk, const Hash256& msg) const override { return inner_.sign(sk, msg); }
+  bool verify(const Point& pk, const Hash256& msg, BytesView sig) const override {
+    return inner_.verify_batch(inner_batch_) && inner_.verify(pk, msg, sig);
+  }
+  bool supports_adaptor() const override { return false; }
+
+ private:
+  const crypto::SignatureScheme& inner_ = crypto::schnorr_scheme();
+  std::span<const crypto::SigBatchItem> inner_batch_;
+};
+
+TEST(VerifyBatch, NestedCallsFallBackToSerial) {
+  const auto inner = signed_batch(crypto::schnorr_scheme(), 2, "vb-nest-inner");
+  auto outer = signed_batch(crypto::schnorr_scheme(), 3, "vb-nest-outer");
+  const NestingScheme scheme(inner);
+  EXPECT_TRUE(scheme.verify_batch(outer));
+  forge(outer[1]);
+  EXPECT_FALSE(scheme.verify_batch(outer));
+  auto forged_inner = inner;
+  forge(forged_inner[0]);
+  EXPECT_FALSE(NestingScheme(forged_inner).verify_batch(signed_batch(
+      crypto::schnorr_scheme(), 3, "vb-nest-outer")));
+}
+
+TEST(VerifyBatch, ThreadPinnedToOneCpuVerifies) {
+  crypto::verify_pool_workers();  // the pool exists before the pin
+  const auto items = signed_batch(crypto::schnorr_scheme(), 3, "vb-pinned");
+  auto forged = items;
+  forge(forged[2]);
+  bool pinned = false, good = false, bad = true;
+  std::thread t([&] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0) return;
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &set)) ++cpu;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    pinned = sched_setaffinity(0, sizeof(set), &set) == 0;
+    good = crypto::schnorr_scheme().verify_batch(items);
+    bad = crypto::schnorr_scheme().verify_batch(forged);
+  });
+  t.join();
+  EXPECT_TRUE(pinned);
+  EXPECT_TRUE(good);
+  EXPECT_FALSE(bad);
 }
 
 // --- Field differential test --------------------------------------------------

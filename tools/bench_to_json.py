@@ -5,7 +5,8 @@ The BENCH format is a compact, diffable snapshot of one benchmark binary:
 
     {
       "bench": "crypto",
-      "context": {"host": ..., "num_cpus": ..., "build_type": ...},
+      "context": {"host": ..., "num_cpus": ..., "build_type": ...,
+                  "verify_pool_workers": ...},   # when the binary records it
       "results": {
         "BM_SchnorrVerify": {"real_time_ns": ..., "cpu_time_ns": ...,
                              "items_per_second": ...},   # when reported
@@ -224,6 +225,9 @@ def main(argv: list[str]) -> int:
         },
         "results": results,
     }
+    # Threads verify_batch fans out to besides the caller (DARIC_BENCHMARK_MAIN).
+    if "verify_pool_workers" in ctx:
+        out["context"]["verify_pool_workers"] = int(ctx["verify_pool_workers"])
     if ratios:
         out["ratios"] = ratios
     if overheads:
