@@ -34,7 +34,7 @@ script::Script cerberus_output_script(BytesView rev1, BytesView rev2, std::uint3
 
 // --- Watchtower ------------------------------------------------------------
 
-void CerberusWatchtower::monitor(ledger::Ledger& l) {
+void CerberusWatchtower::on_round(ledger::Ledger& l) {
   if (retired_) return;
   const auto id = l.spender_txid(fund_op_);
   if (!id) return;

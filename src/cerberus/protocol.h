@@ -10,7 +10,6 @@
 #include <optional>
 
 #include "src/channel/engine.h"
-#include "src/channel/watchtower.h"
 #include "src/crypto/keys.h"
 #include "src/sim/party.h"
 #include "src/tx/transaction.h"
@@ -28,7 +27,7 @@ class CerberusChannel;
 
 /// The incentivized tower: it holds one fully-signed revocation transaction
 /// per revoked state and collects `reward` when it fires one.
-class CerberusWatchtower : public channel::Watchtower {
+class CerberusWatchtower {
  public:
   explicit CerberusWatchtower(tx::OutPoint fund_op) : fund_op_(fund_op) {}
 
@@ -38,14 +37,15 @@ class CerberusWatchtower : public channel::Watchtower {
   };
   void add_package(RevocationPackage pkg) { packages_.push_back(std::move(pkg)); }
 
-  std::size_t storage_bytes() const override;
-  bool reacted() const override { return reacted_; }
+  /// Called at the end of every round: posts the revocation for a revoked
+  /// commit it holds a package for.
+  void on_round(ledger::Ledger& l);
+  /// Bytes this tower must persist for the channel it watches.
+  std::size_t storage_bytes() const;
+  bool reacted() const { return reacted_; }
   /// Whether the funding output was spent: the tower has reacted, or the
   /// spender is a transaction it holds no package for, and it stops watching.
   bool retired() const { return retired_; }
-
- protected:
-  void monitor(ledger::Ledger& l) override;
 
  private:
   tx::OutPoint fund_op_;

@@ -100,4 +100,30 @@ void attach_p2wpkh_witness(tx::Transaction& t, std::size_t input, Bytes sig, Byt
   t.witnesses[input].witness_script.reset();
 }
 
+std::optional<CounterpartyCommit> match_counterparty_commit(const tx::Transaction& spender,
+                                                            sim::PartyId client,
+                                                            const DaricPubKeys& a,
+                                                            const DaricPubKeys& b,
+                                                            std::uint32_t s0, Round t_punish) {
+  if (spender.outputs.size() != 1 || spender.nlocktime < s0) return std::nullopt;
+  const std::uint32_t j = spender.nlocktime - s0;
+  const auto csv = static_cast<std::uint32_t>(t_punish);
+  script::Script guess = client == sim::PartyId::kA
+                             ? commit_script(a.sp, b.sp, a.rv2, b.rv2, s0 + j, csv)  // TX^B_CM,j
+                             : commit_script(a.sp, b.sp, a.rv, b.rv, s0 + j, csv);   // TX^A_CM,j
+  if (spender.outputs[0].cond != tx::Condition::p2wsh(guess)) return std::nullopt;
+  return CounterpartyCommit{j, std::move(guess)};
+}
+
+void bind_revocation(tx::Transaction& rv, const Hash256& commit_txid,
+                     const script::Script& commit_script, sim::PartyId client, Bytes own,
+                     Bytes counterparty) {
+  bind_floating(rv, {commit_txid, 0});
+  if (client == sim::PartyId::kA) {
+    attach_revoke_witness(rv, 0, commit_script, std::move(own), std::move(counterparty));
+  } else {
+    attach_revoke_witness(rv, 0, commit_script, std::move(counterparty), std::move(own));
+  }
+}
+
 }  // namespace daric::daricch

@@ -1,12 +1,15 @@
 // Transaction generators GenFund / GenCommit / GenSplit / GenRevoke /
-// GenFinSplit of Appendix D, plus floating-transaction binding and witness
-// assembly helpers.
+// GenFinSplit of Appendix D, floating-transaction binding and witness
+// assembly helpers, and the Punish rule every Daric monitor shares.
 #pragma once
+
+#include <optional>
 
 #include "src/channel/params.h"
 #include "src/channel/state.h"
 #include "src/daric/scripts.h"
 #include "src/daric/wallet.h"
+#include "src/sim/party.h"
 #include "src/tx/transaction.h"
 
 namespace daric::daricch {
@@ -66,5 +69,29 @@ void attach_revoke_witness(tx::Transaction& t, std::size_t input, const script::
 
 /// Witness for a P2WPKH spend: [sig, pubkey].
 void attach_p2wpkh_witness(tx::Transaction& t, std::size_t input, Bytes sig, Bytes pubkey);
+
+/// A funding-output spender recognized as a commit of the counterparty.
+struct CounterpartyCommit {
+  std::uint32_t state = 0;  // j, decoded from the commit's nLockTime S0 + j
+  script::Script script;    // witness script of the commit's one output
+};
+
+/// The Punish rule of Appendix D, shared by DaricParty, RestoredParty and
+/// store::TowerService: is `spender` a commit of `client`'s counterparty?
+/// The state is read off the nLockTime (Sec. 8) and the output script
+/// rebuilt from it — TX^A_RV spends TX^B_CM (rv2 keys), TX^B_RV spends
+/// TX^A_CM (rv keys). Whether state j is revoked is the caller's bound.
+std::optional<CounterpartyCommit> match_counterparty_commit(const tx::Transaction& spender,
+                                                            sim::PartyId client,
+                                                            const DaricPubKeys& a,
+                                                            const DaricPubKeys& b,
+                                                            std::uint32_t s0, Round t_punish);
+
+/// Binds the floating revocation `rv` to output 0 of the counterparty
+/// commit `commit_txid` and attaches the revocation witness, placing
+/// `client`'s own signature and the counterparty's (Θ) in witness order.
+void bind_revocation(tx::Transaction& rv, const Hash256& commit_txid,
+                     const script::Script& commit_script, sim::PartyId client, Bytes own,
+                     Bytes counterparty);
 
 }  // namespace daric::daricch

@@ -378,32 +378,20 @@ void RestoredParty::on_round() {
   // is one behind sn — the own revocation of sn-1 was never sent, so the
   // counterparty's sn-1 commit is NOT revoked and must not be punished).
   if (s_.theta_state == 0 || s_.theta_sig.empty()) return;
-  if (spender->nlocktime < s_.params.s0) return;
-  const std::uint32_t j = spender->nlocktime - s_.params.s0;
-  const auto csv = static_cast<std::uint32_t>(s_.params.t_punish);
   const DaricPubKeys pub_own = to_pub(keys_);
-  const DaricPubKeys& pa = s_.id == PartyId::kA ? pub_own : s_.pub_other;
-  const DaricPubKeys& pb = s_.id == PartyId::kA ? s_.pub_other : pub_own;
-  const script::Script guess =
-      s_.id == PartyId::kA
-          ? commit_script(pa.sp, pb.sp, pa.rv2, pb.rv2, s_.params.s0 + j, csv)
-          : commit_script(pa.sp, pb.sp, pa.rv, pb.rv, s_.params.s0 + j, csv);
-  if (spender->outputs.size() != 1 ||
-      spender->outputs[0].cond != tx::Condition::p2wsh(guess) || j >= s_.theta_state)
-    return;
+  const bool is_a = s_.id == PartyId::kA;
+  const auto commit =
+      match_counterparty_commit(*spender, s_.id, is_a ? pub_own : s_.pub_other,
+                                is_a ? s_.pub_other : pub_own, s_.params.s0, s_.params.t_punish);
+  if (!commit || commit->state >= s_.theta_state) return;
 
   tx::Transaction rv =
       gen_revoke(pub_own.main, s_.params.capacity(), s_.theta_state - 1, s_.params);
-  bind_floating(rv, {id, 0});
   const SighashFlag flag = s_.params.feeable_revocations ? SighashFlag::kSingleAnyPrevOut
                                                          : SighashFlag::kAllAnyPrevOut;
-  const crypto::Scalar& sk = s_.id == PartyId::kA ? keys_.rv2.sk : keys_.rv.sk;
+  const crypto::Scalar& sk = is_a ? keys_.rv2.sk : keys_.rv.sk;
   const Bytes own = tx::sign_input(rv, 0, sk, env_.scheme(), flag);
-  if (s_.id == PartyId::kA) {
-    attach_revoke_witness(rv, 0, guess, own, s_.theta_sig);
-  } else {
-    attach_revoke_witness(rv, 0, guess, s_.theta_sig, own);
-  }
+  bind_revocation(rv, id, commit->script, s_.id, own, s_.theta_sig);
   ledger.post(rv);
   pending_txid_ = rv.txid();
 }

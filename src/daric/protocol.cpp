@@ -147,25 +147,6 @@ void DaricParty::set_fee_source(const FeeSource& source, Amount fee) {
   punish_fee_ = fee;
 }
 
-bool DaricParty::is_counterparty_commit(const tx::Transaction& spender, std::uint32_t* state_out,
-                                        script::Script* script_out) const {
-  if (spender.outputs.size() != 1) return false;
-  if (spender.nlocktime < params_.s0) return false;
-  const std::uint32_t j = spender.nlocktime - params_.s0;
-  const auto csv = static_cast<std::uint32_t>(params_.t_punish);
-  // A's commits are guarded by rv keys, B's by rv2 (Appendix B).
-  const DaricPubKeys& pa = id_ == PartyId::kA ? pub_own_ : pub_other_;
-  const DaricPubKeys& pb = id_ == PartyId::kA ? pub_other_ : pub_own_;
-  const script::Script guess =
-      id_ == PartyId::kA
-          ? commit_script(pa.sp, pb.sp, pa.rv2, pb.rv2, params_.s0 + j, csv)   // TX^B_CM,j
-          : commit_script(pa.sp, pb.sp, pa.rv, pb.rv, params_.s0 + j, csv);    // TX^A_CM,j
-  if (spender.outputs[0].cond != tx::Condition::p2wsh(guess)) return false;
-  *state_out = j;
-  *script_out = guess;
-  return true;
-}
-
 void DaricParty::commit_to_published_split(const tx::Transaction& spender,
                                            const FloatingSplit& split,
                                            const script::Script& commit_scr) {
@@ -177,20 +158,10 @@ void DaricParty::commit_to_published_split(const tx::Transaction& spender,
                                 (confirmed ? *confirmed : env_.now()) + params_.t_punish, false};
 }
 
-void DaricParty::try_punish(const tx::Transaction& spender) {
-  std::uint32_t j = 0;
-  script::Script cscript;
-  if (!is_counterparty_commit(spender, &j, &cscript)) return;
-  if (j >= sn_ || theta_sig_.empty()) return;  // latest state or nothing revoked yet
-
+void DaricParty::punish(const Hash256& commit_txid, const CounterpartyCommit& commit) {
+  // ANYPREVOUT: the signature over the floating body binds to any commit.
   tx::Transaction rv = gen_revoke(pub_own_.main, params_.capacity(), sn_ - 1, params_);
-  bind_floating(rv, {spender.txid(), 0});
-  const Bytes own = sign_own_revocation(rv);
-  if (id_ == PartyId::kA) {
-    attach_revoke_witness(rv, 0, cscript, own, theta_sig_);  // [rv2_A, rv2_B]
-  } else {
-    attach_revoke_witness(rv, 0, cscript, theta_sig_, own);  // [rv_A, rv_B]
-  }
+  bind_revocation(rv, commit_txid, commit.script, id_, sign_own_revocation(rv), theta_sig_);
   if (fee_outpoint_value_ && fee_key_) {
     attach_fee(rv, {fee_outpoint_value_->first, fee_outpoint_value_->second, *fee_key_},
                punish_fee_, env_.scheme());
@@ -202,7 +173,7 @@ void DaricParty::try_punish(const tx::Transaction& spender) {
   if (env_.tracer().enabled())
     env_.tracer().emit(env_.now(), obs::EventKind::kPunish, "daric", params_.id,
                        sim::party_name(id_),
-                       {obs::Attr::i("revoked_state", j),
+                       {obs::Attr::i("revoked_state", commit.state),
                         obs::Attr::i("latest_sn", static_cast<std::int64_t>(sn_))});
 }
 
@@ -278,10 +249,12 @@ void DaricParty::on_round() {
   }
 
   // Not in I: if it is a revoked counterparty commit, punish instantly.
-  std::uint32_t j = 0;
-  script::Script cscript;
-  if (is_counterparty_commit(*spender, &j, &cscript)) {
-    try_punish(*spender);
+  const bool is_a = id_ == PartyId::kA;
+  if (const auto commit =
+          match_counterparty_commit(*spender, id_, is_a ? pub_own_ : pub_other_,
+                                    is_a ? pub_other_ : pub_own_, params_.s0, params_.t_punish)) {
+    // Latest state or nothing revoked yet: not punishable.
+    if (commit->state < sn_ && !theta_sig_.empty()) punish(id, *commit);
     return;
   }
   // Otherwise it is one of *our own* revoked commits (republished by a

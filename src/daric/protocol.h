@@ -109,7 +109,6 @@ class DaricParty {
 
  private:
   friend class DaricChannel;
-  friend class DaricWatchtower;
   friend WatchtowerPackage make_watchtower_package(const DaricParty&);
   friend ChannelSnapshot snapshot_party(const DaricParty&);
   friend ChannelSnapshot snapshot_party_durable(const DaricParty&);
@@ -135,10 +134,9 @@ class DaricParty {
   // Appendix-D helpers executed locally.
   void commit_to_published_split(const tx::Transaction& spender, const FloatingSplit& split,
                                  const script::Script& commit_script);
-  void try_punish(const tx::Transaction& spender);
-  bool is_counterparty_commit(const tx::Transaction& spender, std::uint32_t* state_out,
-                              script::Script* script_out) const;
-  Bytes sign_own_revocation(const tx::Transaction& bound_body) const;
+  /// Posts the revocation of Θ's state against a revoked counterparty commit.
+  void punish(const Hash256& commit_txid, const CounterpartyCommit& commit);
+  Bytes sign_own_revocation(const tx::Transaction& body) const;
 
   sim::PartyId id_;
   channel::ChannelParams params_;

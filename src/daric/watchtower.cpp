@@ -1,7 +1,5 @@
 #include "src/daric/watchtower.h"
 
-#include "src/channel/storage.h"
-
 #include <stdexcept>
 
 namespace daric::daricch {
@@ -24,52 +22,6 @@ WatchtowerPackage make_watchtower_package(const DaricParty& p) {
     pkg.sig_b = own;             // rv_B
   }
   return pkg;
-}
-
-DaricWatchtower::DaricWatchtower(const channel::ChannelParams& params, PartyId client,
-                                 tx::OutPoint fund_op, DaricPubKeys pub_a, DaricPubKeys pub_b)
-    : params_(params),
-      client_(client),
-      fund_op_(fund_op),
-      pub_a_(std::move(pub_a)),
-      pub_b_(std::move(pub_b)) {}
-
-void DaricWatchtower::monitor(ledger::Ledger& l) {
-  if (reacted_ || !pkg_) return;
-  const auto spender = l.spender_of(fund_op_);
-  if (!spender || spender->outputs.size() != 1) return;
-  if (spender->nlocktime < params_.s0) return;
-  const std::uint32_t j = spender->nlocktime - params_.s0;
-  if (j > pkg_->revoked_state) return;  // not a revoked state
-
-  // Only the *counterparty's* commits are punishable with the client's
-  // revocation transaction (TX^A_RV spends TX^B_CM and vice versa).
-  const auto csv = static_cast<std::uint32_t>(params_.t_punish);
-  const script::Script guess =
-      client_ == PartyId::kA
-          ? commit_script(pub_a_.sp, pub_b_.sp, pub_a_.rv2, pub_b_.rv2, params_.s0 + j, csv)
-          : commit_script(pub_a_.sp, pub_b_.sp, pub_a_.rv, pub_b_.rv, params_.s0 + j, csv);
-  if (spender->outputs[0].cond != tx::Condition::p2wsh(guess)) return;
-
-  tx::Transaction rv = pkg_->rv_body;
-  bind_floating(rv, {spender->txid(), 0});
-  attach_revoke_witness(rv, 0, guess, pkg_->sig_a, pkg_->sig_b);
-  l.post(rv);
-  reacted_ = true;
-}
-
-std::size_t DaricWatchtower::storage_bytes() const {
-  channel::StorageMeter m;
-  m.add_raw(36);       // funding outpoint
-  m.add_raw(8 * 33);   // both parties' four public keys
-  m.add_raw(16);       // params (T, S0, capacity)
-  if (pkg_) {
-    m.add_tx(pkg_->rv_body);
-    m.add_signature();
-    m.add_signature();
-    m.add_raw(4);  // revoked-state counter
-  }
-  return m.bytes();
 }
 
 }  // namespace daric::daricch

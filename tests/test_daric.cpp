@@ -1,10 +1,9 @@
 // End-to-end tests of the Daric protocol engine (Appendix D) on the ledger
 // functionality: create, update, both close paths, punishment, bounded
-// closure timing, state ordering, storage, and the watchtower.
+// closure timing, state ordering and storage.
 #include <gtest/gtest.h>
 
 #include "src/daric/protocol.h"
-#include "src/daric/watchtower.h"
 
 namespace daric {
 namespace {
@@ -299,59 +298,6 @@ TEST(DaricStorage, ConstantInNumberOfUpdates) {
     ASSERT_TRUE(f.ch->update({50'000 - i * 100, 50'000 + i * 100, {}}));
   EXPECT_EQ(f.ch->party(PartyId::kA).storage_bytes(), after_one);
   EXPECT_EQ(f.ch->party(PartyId::kB).storage_bytes(), after_one);
-}
-
-// --- Watchtower -----------------------------------------------------------
-
-TEST(DaricWatchtowerTest, PunishesWhilePartyOffline) {
-  Fixture f("tower-1");
-  ASSERT_TRUE(f.ch->create());
-  ASSERT_TRUE(f.ch->update({50'000, 50'000, {}}));
-  ASSERT_TRUE(f.ch->update({45'000, 55'000, {}}));
-
-  daricch::DaricWatchtower tower(f.ch->params(), PartyId::kB, f.ch->funding_outpoint(),
-                                 f.ch->party(PartyId::kA).pub(), f.ch->party(PartyId::kB).pub());
-  tower.update_package(daricch::make_watchtower_package(f.ch->party(PartyId::kB)));
-  f.env.add_round_hook([&] { tower.on_round(f.env.ledger()); });
-
-  f.ch->publish_old_commit(PartyId::kA, 0);
-  f.ch->run_until_closed();
-  EXPECT_TRUE(tower.reacted());
-  // All channel funds ended at B's payout key.
-  const auto commit = f.env.ledger().spender_of(f.ch->funding_outpoint());
-  ASSERT_TRUE(commit.has_value());
-  const auto rv = f.env.ledger().spender_of({commit->txid(), 0});
-  ASSERT_TRUE(rv.has_value());
-  EXPECT_EQ(rv->outputs[0].cond, tx::Condition::p2wpkh(f.ch->party(PartyId::kB).pub().main));
-}
-
-TEST(DaricWatchtowerTest, StorageConstantAcrossUpdates) {
-  Fixture f("tower-2");
-  ASSERT_TRUE(f.ch->create());
-  daricch::DaricWatchtower tower(f.ch->params(), PartyId::kB, f.ch->funding_outpoint(),
-                                 f.ch->party(PartyId::kA).pub(), f.ch->party(PartyId::kB).pub());
-  ASSERT_TRUE(f.ch->update({50'000, 50'000, {}}));
-  tower.update_package(daricch::make_watchtower_package(f.ch->party(PartyId::kB)));
-  const std::size_t first = tower.storage_bytes();
-  for (int i = 0; i < 15; ++i) {
-    ASSERT_TRUE(f.ch->update({50'000 - i * 10, 50'000 + i * 10, {}}));
-    tower.update_package(daricch::make_watchtower_package(f.ch->party(PartyId::kB)));
-  }
-  EXPECT_EQ(tower.storage_bytes(), first);
-}
-
-TEST(DaricWatchtowerTest, IgnoresLatestCommit) {
-  Fixture f("tower-3");
-  ASSERT_TRUE(f.ch->create());
-  ASSERT_TRUE(f.ch->update({50'000, 50'000, {}}));
-  daricch::DaricWatchtower tower(f.ch->params(), PartyId::kB, f.ch->funding_outpoint(),
-                                 f.ch->party(PartyId::kA).pub(), f.ch->party(PartyId::kB).pub());
-  tower.update_package(daricch::make_watchtower_package(f.ch->party(PartyId::kB)));
-  f.env.add_round_hook([&] { tower.on_round(f.env.ledger()); });
-  f.ch->party(PartyId::kA).force_close();  // latest state: not fraud
-  ASSERT_TRUE(f.ch->run_until_closed());
-  EXPECT_FALSE(tower.reacted());
-  EXPECT_EQ(f.ch->party(PartyId::kB).outcome(), CloseOutcome::kNonCollaborative);
 }
 
 // --- HTLC resolution after close -------------------------------------------

@@ -1,11 +1,9 @@
-// Crash recovery (persistence snapshots + restored monitors), the
-// multi-channel watchtower fleet, and off-chain sub-channels.
+// Crash recovery (persistence snapshots + restored monitors) and off-chain
+// sub-channels.
 #include <gtest/gtest.h>
 
 #include "src/daric/persistence.h"
 #include "src/daric/subchannels.h"
-#include "src/daric/watchtower.h"
-#include "src/lightning/watchtower.h"
 #include "src/tx/serializer.h"
 
 namespace daric {
@@ -149,52 +147,6 @@ TEST(Persistence, RestoredPartyForceClosesWithLatestState) {
   const auto split = env.ledger().spender_of({commit->txid(), 0});
   ASSERT_TRUE(split.has_value());
   EXPECT_EQ(split->outputs[0].cash, 250'000);
-}
-
-// --- Watchtower fleet ---------------------------------------------------
-
-// One operator watching many channels: aggregate storage is what decides
-// the service's economics — O(#channels) for Daric.
-TEST(WatchtowerFleet, WatchesManyChannelsAndAggregatesStorage) {
-  sim::Environment env(kDelta, crypto::schnorr_scheme());
-  std::vector<std::unique_ptr<daricch::DaricChannel>> channels;
-  std::vector<daricch::DaricWatchtower> towers;
-  const int n_channels = 5;
-  for (int i = 0; i < n_channels; ++i) {
-    channels.push_back(std::make_unique<daricch::DaricChannel>(
-        env, make_params("svc-" + std::to_string(i))));
-    ASSERT_TRUE(channels.back()->create());
-    ASSERT_TRUE(channels.back()->update({450'000, 550'000, {}}));
-    auto& ch = *channels.back();
-    towers.emplace_back(ch.params(), PartyId::kB, ch.funding_outpoint(),
-                        ch.party(PartyId::kA).pub(), ch.party(PartyId::kB).pub());
-    towers.back().update_package(daricch::make_watchtower_package(ch.party(PartyId::kB)));
-  }
-  env.add_round_hook([&] {
-    for (daricch::DaricWatchtower& t : towers) t.on_round(env.ledger());
-  });
-  auto total_storage = [&] {
-    std::size_t sum = 0;
-    for (const daricch::DaricWatchtower& t : towers) sum += t.storage_bytes();
-    return sum;
-  };
-
-  const std::size_t storage_1_update = total_storage();
-  // Many more updates: aggregate storage must not grow (O(#channels) only).
-  for (int u = 0; u < 10; ++u) {
-    for (std::size_t i = 0; i < channels.size(); ++i) {
-      ASSERT_TRUE(channels[i]->update({450'000 - u, 550'000 + u, {}}));
-      towers[i].update_package(daricch::make_watchtower_package(channels[i]->party(PartyId::kB)));
-    }
-  }
-  EXPECT_EQ(total_storage(), storage_1_update);
-
-  // Two of the five channels turn fraudulent; only those towers react.
-  channels[1]->publish_old_commit(PartyId::kA, 2);
-  channels[3]->publish_old_commit(PartyId::kA, 0);
-  env.advance_rounds(10);
-  for (std::size_t i = 0; i < towers.size(); ++i)
-    EXPECT_EQ(towers[i].reacted(), i == 1 || i == 3) << "tower " << i;
 }
 
 // --- Sub-channels (Sec. 8 "Other applications") -------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 
 #include "src/crypto/sig_scheme.h"
 #include "src/daric/persistence.h"
@@ -502,14 +503,17 @@ TEST(MetricsLog, TornTailDropsOnlyTheLastSnapshot) {
   EXPECT_NE(recovered[0].find("\"round\":1"), std::string::npos);
 }
 
+store::WatchEntry watch_entry_for_b(const daricch::DaricChannel& ch) {
+  return store::make_watch_entry(ch.params(), PartyId::kB, ch.funding_outpoint(),
+                                 ch.party(PartyId::kA).pub(), ch.party(PartyId::kB).pub(),
+                                 daricch::make_watchtower_package(ch.party(PartyId::kB)));
+}
+
 TEST(Tower, WatchEntryRoundTrips) {
   ChannelFixture f("tower-rt");
   ASSERT_TRUE(f.ch.create());
   ASSERT_TRUE(f.ch.update({450'000, 550'000, {}}));
-  const store::WatchEntry e = store::make_watch_entry(
-      f.ch.params(), PartyId::kB, f.ch.funding_outpoint(), f.ch.party(PartyId::kA).pub(),
-      f.ch.party(PartyId::kB).pub(),
-      daricch::make_watchtower_package(f.ch.party(PartyId::kB)));
+  const store::WatchEntry e = watch_entry_for_b(f.ch);
   const store::WatchEntry back =
       store::deserialize_watch_entry(store::serialize_watch_entry(e));
   EXPECT_EQ(back.fund_op, e.fund_op);
@@ -527,44 +531,101 @@ TEST(Tower, WatchEntryRoundTrips) {
 
 TEST(Tower, PunishesRevokedCommitAndSurvivesRestart) {
   sim::Environment env(kDelta, crypto::schnorr_scheme());
+  store::MemoryBackend disk;
+  store::TowerService tower(disk, &env.metrics());
   std::vector<std::unique_ptr<daricch::DaricChannel>> chans;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 5; ++i) {
     chans.push_back(std::make_unique<daricch::DaricChannel>(
         env, make_params("tower-" + std::to_string(i))));
     ASSERT_TRUE(chans.back()->create());
     ASSERT_TRUE(chans.back()->update({450'000, 550'000, {}}));
     ASSERT_TRUE(chans.back()->update({400'000, 600'000, {}}));
+    tower.watch(watch_entry_for_b(*chans.back()));
   }
+  EXPECT_EQ(tower.channels(), 5u);
 
-  store::MemoryBackend disk;
-  store::TowerService tower(disk, &env.metrics());
-  for (auto& ch : chans) {
-    tower.watch(store::make_watch_entry(
-        ch->params(), PartyId::kB, ch->funding_outpoint(), ch->party(PartyId::kA).pub(),
-        ch->party(PartyId::kB).pub(),
-        daricch::make_watchtower_package(ch->party(PartyId::kB))));
+  // More updates across the fleet: each refreshed package replaces the
+  // last, so the tower's live bytes stay O(#channels).
+  const std::size_t live = tower.live_record_bytes();
+  for (int u = 0; u < 3; ++u) {
+    for (auto& ch : chans) {
+      ASSERT_TRUE(ch->update({400'000 - u, 600'000 + u, {}}));
+      tower.watch(watch_entry_for_b(*ch));
+    }
   }
-  EXPECT_EQ(tower.channels(), 3u);
+  EXPECT_EQ(tower.live_record_bytes(), live);
   env.add_round_hook([&] { tower.on_round(env.ledger()); });
 
-  // Channel 1's A publishes its revoked state-0 commit; both clients stay
-  // dark — only the tower can punish.
-  chans[1]->party(PartyId::kA).set_online(false);
-  chans[1]->party(PartyId::kB).set_online(false);
-  const Hash256 cheat_txid = chans[1]->archived_commits(PartyId::kA)[0].txid();
-  chans[1]->publish_old_commit(PartyId::kA, 0);
+  // Channels 1 and 3 publish revoked commits (states 3 and 0); their
+  // clients stay dark — only the tower can punish.
+  const std::map<std::size_t, std::uint32_t> cheats = {{1, 3}, {3, 0}};
+  for (const auto& [i, state] : cheats) {
+    chans[i]->set_monitors_online(false, false);
+    chans[i]->publish_old_commit(PartyId::kA, state);
+  }
   env.advance_rounds(10);
 
-  EXPECT_EQ(tower.reactions(), 1u);
-  EXPECT_EQ(tower.channels(), 2u);  // spent funding outpoint retired
-  const auto spender = env.ledger().spender_of({cheat_txid, 0});
-  ASSERT_TRUE(spender.has_value());  // the revocation landed on-chain
-  EXPECT_EQ(env.metrics().counter("tower.reactions").value(), 1);
+  EXPECT_EQ(tower.reactions(), 2u);
+  EXPECT_EQ(tower.channels(), 3u);  // spent funding outpoints retired
+  EXPECT_EQ(env.metrics().counter("tower.reactions").value(), 2);
+  for (std::size_t i = 0; i < chans.size(); ++i)
+    EXPECT_EQ(env.ledger().is_unspent(chans[i]->funding_outpoint()), !cheats.contains(i))
+        << "channel " << i;
+  for (const auto& [i, state] : cheats) {
+    const Hash256 cheat_txid = chans[i]->archived_commits(PartyId::kA)[state].txid();
+    const auto rv = env.ledger().spender_of({cheat_txid, 0});
+    ASSERT_TRUE(rv.has_value());  // the revocation landed on-chain
+    // The whole capacity goes to B's payout key.
+    EXPECT_EQ(rv->outputs[0].cond,
+              tx::Condition::p2wpkh(chans[i]->party(PartyId::kB).pub().main));
+    EXPECT_EQ(rv->outputs[0].cash, 1'000'000);
+  }
 
   // Restart from the same disk image: the survivors are still watched.
   store::TowerService reborn(disk);
   EXPECT_EQ(reborn.recovery().status, store::LogStatus::kOk);
-  EXPECT_EQ(reborn.channels(), 2u);
+  EXPECT_EQ(reborn.channels(), 3u);
+}
+
+// A force close at the latest state is not fraud: the tower retires the
+// channel without posting, and the split resolves it.
+TEST(Tower, IgnoresLatestCommit) {
+  ChannelFixture f("tower-latest");
+  ASSERT_TRUE(f.ch.create());
+  ASSERT_TRUE(f.ch.update({450'000, 550'000, {}}));
+  store::MemoryBackend disk;
+  store::TowerService tower(disk);
+  tower.watch(watch_entry_for_b(f.ch));
+  f.env.add_round_hook([&] { tower.on_round(f.env.ledger()); });
+
+  f.ch.party(PartyId::kA).force_close();
+  ASSERT_TRUE(f.ch.run_until_closed());
+  EXPECT_EQ(tower.reactions(), 0u);
+  EXPECT_EQ(tower.channels(), 0u);
+  EXPECT_EQ(f.ch.party(PartyId::kB).outcome(), daricch::CloseOutcome::kNonCollaborative);
+}
+
+// Counterparty-only rule: B's revocation spends A's commits, so B's tower
+// must not answer B's own revoked commit. A's monitor punishes it instead.
+TEST(Tower, IgnoresClientsOwnRevokedCommit) {
+  ChannelFixture f("tower-own");
+  ASSERT_TRUE(f.ch.create());
+  ASSERT_TRUE(f.ch.update({450'000, 550'000, {}}));
+  ASSERT_TRUE(f.ch.update({400'000, 600'000, {}}));
+  store::MemoryBackend disk;
+  store::TowerService tower(disk);
+  tower.watch(watch_entry_for_b(f.ch));
+  f.env.add_round_hook([&] { tower.on_round(f.env.ledger()); });
+
+  f.ch.publish_old_commit(PartyId::kB, 0);
+  ASSERT_TRUE(f.ch.run_until_closed());
+  EXPECT_EQ(tower.reactions(), 0u);
+  EXPECT_EQ(tower.channels(), 0u);
+  EXPECT_EQ(f.ch.party(PartyId::kA).outcome(), daricch::CloseOutcome::kPunished);
+  const Hash256 cheat_txid = f.ch.archived_commits(PartyId::kB)[0].txid();
+  const auto rv = f.env.ledger().spender_of({cheat_txid, 0});
+  ASSERT_TRUE(rv.has_value());
+  EXPECT_EQ(rv->outputs[0].cond, tx::Condition::p2wpkh(f.ch.party(PartyId::kA).pub().main));
 }
 
 TEST(Tower, PackageUpdatesCompactToConstantPerChannel) {
@@ -573,14 +634,14 @@ TEST(Tower, PackageUpdatesCompactToConstantPerChannel) {
   store::MemoryBackend disk;
   store::TowerService tower(disk);
   std::size_t entry_bytes = 0;
+  std::size_t first_live = 0;
   for (int u = 1; u <= 60; ++u) {
     ASSERT_TRUE(f.ch.update({500'000 - 1'000 * u, 500'000 + 1'000 * u, {}}));
-    const store::WatchEntry e = store::make_watch_entry(
-        f.ch.params(), PartyId::kB, f.ch.funding_outpoint(), f.ch.party(PartyId::kA).pub(),
-        f.ch.party(PartyId::kB).pub(),
-        daricch::make_watchtower_package(f.ch.party(PartyId::kB)));
+    const store::WatchEntry e = watch_entry_for_b(f.ch);
     entry_bytes = store::serialize_watch_entry(e).size();
     tower.watch(e);
+    if (u == 1) first_live = tower.live_record_bytes();
+    EXPECT_EQ(tower.live_record_bytes(), first_live) << "after update " << u;
   }
   EXPECT_EQ(tower.channels(), 1u);
   EXPECT_EQ(tower.live_record_bytes(), entry_bytes + 1);  // + kind byte
@@ -607,10 +668,7 @@ TEST(Tower, TornTailOnRestoreKeepsIntactChannels) {
   store::MemoryBackend disk;
   {
     store::TowerService tower(disk);
-    tower.watch(store::make_watch_entry(
-        f.ch.params(), PartyId::kB, f.ch.funding_outpoint(), f.ch.party(PartyId::kA).pub(),
-        f.ch.party(PartyId::kB).pub(),
-        daricch::make_watchtower_package(f.ch.party(PartyId::kB))));
+    tower.watch(watch_entry_for_b(f.ch));
   }
   disk.append(Bytes(13, 0xee));  // garbage after the synced prefix
   disk.sync();

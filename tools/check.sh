@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Full verification harness: plain tier-1 suite, the same suite under
-# ASan+UBSan, a Debug (assertions-on) build of the crypto and skeleton-cache
-# tests, the parallel batch-verification tests and the engines under
-# ThreadSanitizer, a bounded model-check run, the secret-hygiene lint, and —
-# when the binary is installed — clang-tidy over the library sources.
+# Full verification harness: plain tier-1 suite, every example binary, the
+# same suite under ASan+UBSan, a Debug (assertions-on) build of the crypto
+# and skeleton-cache tests, the parallel batch-verification tests and the
+# engines under ThreadSanitizer, a bounded model-check run, the
+# secret-hygiene lint, and — when the binary is installed — clang-tidy over
+# the library sources.
 #
 # Usage: tools/check.sh [--fast|--bench|--chaos|--durable|--analyze|--tsan|--trace|--obs|--tidy]
-#   --fast    skip the Debug and sanitizer rebuilds (plain tests + model
-#             check + lint)
+#   --fast    skip the Debug and sanitizer rebuilds (plain tests + examples
+#             + model check + lint)
 #   --bench   build Release, run the crypto + update microbenches, write
 #             BENCH_crypto.json / BENCH_update_microbench.json at the repo
 #             root, and regenerate BENCH_trace_overhead.json (disabled-tracer
@@ -365,6 +366,16 @@ step "plain build + tier-1 tests"
 cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+
+step "examples (every build/examples binary must exit 0)"
+ran=0
+for ex in build/examples/*; do
+  [[ -f "$ex" && -x "$ex" ]] || continue
+  echo "run $ex"
+  "$ex" >/dev/null || { echo "ERROR: $ex exited nonzero" >&2; exit 1; }
+  ran=$((ran + 1))
+done
+[[ "$ran" -gt 0 ]] || { echo "ERROR: no example binaries under build/examples" >&2; exit 1; }
 
 step "static script/transaction analyzer (all engines, lints + spend graph + auth)"
 ./build/tools/daric_analyze --graph --json build/analyze_report.json
